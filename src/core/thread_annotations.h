@@ -17,9 +17,9 @@
 /// operation compiles to nothing; the analysis runs entirely at compile
 /// time.
 ///
-/// What this buys: a future PR that reads serial-phase state from the
-/// parallel phase, pushes into a mailbox outside the relay/drain
-/// protocol, or touches a FIFO from off its owning shard gets a
+/// What this buys: a future change that reads serial-phase state from
+/// the parallel phase, walks a shard's seam links outside its drain
+/// phase, or touches a FIFO from off its owning shard gets a
 /// compiler error under `-DMEDEA_THREAD_SAFETY=ON` (clang) before any
 /// test — or TSan — ever runs.
 ///

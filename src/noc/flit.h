@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -79,9 +80,26 @@ inline constexpr int kMaxPacketFlits = 1 << FlitFormat::kSeqNumBits;
 /// uid draws depend only on the node's own injection history — never on
 /// within-cycle tick order or shard interleaving — which keeps the
 /// router's oldest-first uid tie-break bit-identical across kernels.
-/// 20 sequence bits leave 12 node bits: up to 4096 nodes and ~1M flits
-/// per node per run (both asserted where used).
+/// 20 sequence bits leave 12 node bits: up to kMaxFlitUidNodes nodes
+/// and kMaxFlitUidSeq flits per node per run.  RunRequest validation
+/// rejects synthetic runs beyond either bound; next_node_flit_uid()
+/// aborts in every build mode if a run gets past it anyway.
 inline constexpr std::uint32_t kFlitUidSeqBits = 20;
+inline constexpr std::uint32_t kMaxFlitUidNodes = 1u << (32 - kFlitUidSeqBits);
+inline constexpr std::uint32_t kMaxFlitUidSeq = (1u << kFlitUidSeqBits) - 1;
+
+/// Next uid of `node`'s private stream, whose last sequence number is
+/// `seq` (advanced in place).  A wrapped node id or sequence would alias
+/// another flit's uid and silently corrupt uid-keyed traces and
+/// tie-breaks, so either overflow calls std::abort().
+inline std::uint32_t next_node_flit_uid(std::uint32_t& seq, int node) {
+  if (static_cast<std::uint32_t>(node) >= kMaxFlitUidNodes ||
+      seq >= kMaxFlitUidSeq) {
+    std::abort();
+  }
+  ++seq;
+  return (static_cast<std::uint32_t>(node) << kFlitUidSeqBits) | seq;
+}
 
 /// One 64-bit flit, decoded.
 struct Flit {

@@ -5,10 +5,6 @@
 namespace medea::noc {
 
 namespace {
-/// See the header comment: capacity 2 is a kernel bookkeeping allowance,
-/// not extra buffering; steady-state link occupancy is <= 1 flit.
-constexpr std::size_t kLinkCapacity = 2;
-
 Dir opposite(Dir d) {
   switch (d) {
     case Dir::kNorth: return Dir::kSouth;
@@ -95,83 +91,36 @@ class Network::ShardEventBuffer final : public FlitObserver {
   std::vector<Event> events_ MEDEA_GUARDED_BY(own_);
 };
 
-void Network::ShardChannel::relay(void* ctx, std::vector<Flit>& staged) {
-  auto* ch = static_cast<ShardChannel*>(ctx);
-  // Producer side of the mailbox handoff: the TX FIFO's commit, on the
-  // producer shard, before the post-dispatch barrier.  The consumer
-  // shard will not touch `mail` until after that barrier.
-  ch->xfer.assert_held();
-  for (Flit& f : staged) ch->mail.push_back(std::move(f));
-}
-
 Network::Network(sim::Scheduler& sched, const TorusGeometry& geom,
                  const RouterConfig& cfg, std::uint64_t seed)
     : geom_(geom), cfg_(cfg) {
-  build_single(sched, seed);
+  node_sched_.assign(static_cast<std::size_t>(num_nodes()), &sched);
+  build(seed);
 }
 
 Network::Network(sim::SimDomain& dom, const TorusGeometry& geom,
                  const RouterConfig& cfg, std::uint64_t seed)
     : geom_(geom), cfg_(cfg) {
+  const int n = num_nodes();
   if (!dom.sharded()) {
     // Transparent fallback: a 1-shard domain builds the exact network a
     // plain Scheduler would (same construction order, same RNG draws).
-    build_single(dom.shard(0), seed);
+    node_sched_.assign(static_cast<std::size_t>(n), &dom.shard(0));
+    build(seed);
     return;
   }
   dom_ = &dom;
-  build_sharded(seed);
-}
-
-Network::~Network() = default;
-
-void Network::build_single(sim::Scheduler& sched, std::uint64_t seed) {
-  serial_.assert_held();  // construction time: single-threaded
-  const int n = geom_.num_nodes();
-  node_seq_.assign(static_cast<std::size_t>(n), 0);
-  node_sched_.assign(static_cast<std::size_t>(n), &sched);
-  // Expand the network seed into one private stream per router (see the
-  // DeflectionRouter constructor comment: per-router generators keep
-  // stochastic tie-breaks independent of within-cycle tick order).
-  sim::SplitMix64 streams(seed);
-  routers_.reserve(static_cast<std::size_t>(n));
-  for (int id = 0; id < n; ++id) {
-    routers_.push_back(std::make_unique<DeflectionRouter>(
-        sched, geom_, geom_.coord_of(id), cfg_, stats_, streams.next()));
-  }
-  // One unidirectional link per (router, direction).  The link leaving
-  // router R through direction d enters neighbour(R, d) through the
-  // opposite port.  On 1-wide or 1-tall tori a link can loop back to its
-  // own router; the wiring below handles that uniformly.
-  for (int id = 0; id < n; ++id) {
-    const Coord from = geom_.coord_of(id);
-    for (int d = 0; d < kNumDirs; ++d) {
-      const Dir dir = static_cast<Dir>(d);
-      const Coord to = geom_.neighbor(from, dir);
-      auto link = std::make_unique<sim::Fifo<Flit>>(
-          sched,
-          "link" + from.to_string() + to_string(dir) + "->" + to.to_string(),
-          kLinkCapacity);
-      routers_[static_cast<std::size_t>(id)]->connect_output(dir, link.get());
-      router(to).connect_input(opposite(dir), link.get());
-      links_.push_back(std::move(link));
-    }
-  }
-}
-
-void Network::build_sharded(std::uint64_t seed) {
-  const int n = geom_.num_nodes();
-  const int num_shards = dom_->num_shards();
-  const int height = geom_.height();
-  node_seq_.assign(static_cast<std::size_t>(n), 0);
+  const int num_shards = dom.num_shards();
   node_sched_.resize(static_cast<std::size_t>(n));
   shard_of_node_.resize(static_cast<std::size_t>(n));
   for (int id = 0; id < n; ++id) {
     // Contiguous row bands: row r belongs to shard r*S/H, so node ids
     // within a shard are contiguous (canonical-order fan-in relies on
     // this) and band heights differ by at most one row.
-    shard_of_node_[static_cast<std::size_t>(id)] =
-        static_cast<int>(geom_.coord_of(id).y) * num_shards / height;
+    const int s =
+        static_cast<int>(geom_.coord_of(id).y) * num_shards / geom_.height();
+    shard_of_node_[static_cast<std::size_t>(id)] = s;
+    node_sched_[static_cast<std::size_t>(id)] = &dom.shard(s);
   }
   shard_stats_.reserve(static_cast<std::size_t>(num_shards));
   shard_obs_.reserve(static_cast<std::size_t>(num_shards));
@@ -179,87 +128,80 @@ void Network::build_sharded(std::uint64_t seed) {
     shard_stats_.push_back(std::make_unique<sim::StatSet>());
     shard_obs_.push_back(std::make_unique<ShardEventBuffer>(*this));
   }
-  shard_channels_.resize(static_cast<std::size_t>(num_shards));
-  shard_mail_count_.assign(static_cast<std::size_t>(num_shards), 0);
+  seams_ = std::vector<ShardSeams>(static_cast<std::size_t>(num_shards));
+  build(seed);
 
+  for (int s = 0; s < num_shards; ++s) {
+    dom.add_shard_drain(s,
+                        [this, s](sim::Cycle now) { drain_shard(s, now); });
+  }
+  dom.add_cycle_end([this](sim::Cycle) { flush_observer_events(); });
+  dom.add_pre_sample([this] { refresh_stats(); });
+}
+
+Network::~Network() = default;
+
+void Network::build(std::uint64_t seed) {
+  serial_.assert_held();  // construction time: single-threaded
+  const int n = num_nodes();
+  node_seq_.assign(static_cast<std::size_t>(n), 0);
   // Routers, in node order on every shard: the RNG stream draws and the
   // component construction order (the canonical dispatch key, global via
-  // the domain's shared counter) match the single-thread build exactly.
+  // the domain's shared counter) are the same in both modes.  Each
+  // router gets a private stream expanded from the network seed (see
+  // the DeflectionRouter constructor comment: per-router generators keep
+  // stochastic tie-breaks independent of within-cycle tick order).
   sim::SplitMix64 streams(seed);
   routers_.reserve(static_cast<std::size_t>(n));
   for (int id = 0; id < n; ++id) {
-    const int s = shard_of_node_[static_cast<std::size_t>(id)];
-    node_sched_[static_cast<std::size_t>(id)] = &dom_->shard(s);
+    sim::StatSet& st =
+        shard_stats_.empty()
+            ? stats_
+            : *shard_stats_[static_cast<std::size_t>(shard_of(id))];
     routers_.push_back(std::make_unique<DeflectionRouter>(
-        dom_->shard(s), geom_, geom_.coord_of(id), cfg_,
-        *shard_stats_[static_cast<std::size_t>(s)], streams.next()));
+        sched_of(id), geom_, geom_.coord_of(id), cfg_, st, streams.next()));
   }
+  wire_links();
+}
 
-  // Links.  A link whose endpoints share a shard is an ordinary FIFO on
-  // that shard's scheduler.  A shard-crossing link (vertical links at
-  // band boundaries, torus wrap included) splits into a producer-side
-  // TX FIFO relaying into the channel mailbox and a consumer-side RX
-  // FIFO the consumer shard's drain phase fills.
+void Network::wire_links() {
+  // One unidirectional link per (router, direction).  The link leaving
+  // router R through direction d enters neighbour(R, d) through the
+  // opposite port.  On 1-wide or 1-tall tori a link can loop back to its
+  // own router; the parity split in Link handles that uniformly.
+  const int n = num_nodes();
+  links_.resize(static_cast<std::size_t>(n) * kNumDirs);
   for (int id = 0; id < n; ++id) {
     const Coord from = geom_.coord_of(id);
-    const int sp = shard_of_node_[static_cast<std::size_t>(id)];
     for (int d = 0; d < kNumDirs; ++d) {
       const Dir dir = static_cast<Dir>(d);
-      const Coord to = geom_.neighbor(from, dir);
-      const int to_id = geom_.node_id(to);
-      const int sc = shard_of_node_[static_cast<std::size_t>(to_id)];
-      const std::string name = "link" + from.to_string() + to_string(dir) +
-                               "->" + to.to_string();
-      if (sp == sc) {
-        auto link = std::make_unique<sim::Fifo<Flit>>(dom_->shard(sp), name,
-                                                      kLinkCapacity);
-        routers_[static_cast<std::size_t>(id)]->connect_output(dir,
-                                                               link.get());
-        router(to).connect_input(opposite(dir), link.get());
-        links_.push_back(std::move(link));
-      } else {
-        auto tx = std::make_unique<sim::Fifo<Flit>>(dom_->shard(sp),
-                                                    name + ".tx",
-                                                    kLinkCapacity);
-        auto rx = std::make_unique<sim::Fifo<Flit>>(dom_->shard(sc),
-                                                    name + ".rx",
-                                                    kLinkCapacity);
-        routers_[static_cast<std::size_t>(id)]->connect_output(dir, tx.get());
-        router(to).connect_input(opposite(dir), rx.get());  // sets consumer
-        auto ch = std::make_unique<ShardChannel>();
-        ch->rx = rx.get();
-        tx->set_relay(&ShardChannel::relay, ch.get());
-        shard_channels_[static_cast<std::size_t>(sc)].push_back(ch.get());
-        channels_.push_back(std::move(ch));
-        links_.push_back(std::move(tx));
-        links_.push_back(std::move(rx));
+      const int to = geom_.node_id(geom_.neighbor(from, dir));
+      Link& link = links_[static_cast<std::size_t>(id * kNumDirs + d)];
+      link.consumer = &router(to);
+      link.seam = shard_of(id) != shard_of(to);
+      router(id).connect_output(dir, &link);
+      router(to).connect_input(opposite(dir), &link);
+      if (link.seam) {
+        ShardSeams& in = seams_[static_cast<std::size_t>(shard_of(to))];
+        in.drain.assert_held();  // wiring time: no run in flight
+        in.links.push_back(&link);
       }
     }
   }
-
-  for (int s = 0; s < num_shards; ++s) {
-    dom_->add_shard_drain(
-        s, [this, s](sim::Cycle now) { drain_shard(s, now); });
-  }
-  dom_->add_cycle_end([this](sim::Cycle) { flush_observer_events(); });
-  dom_->add_pre_sample([this] { refresh_stats(); });
 }
 
 void Network::drain_shard(int s, sim::Cycle now) {
-  for (ShardChannel* ch : shard_channels_[static_cast<std::size_t>(s)]) {
-    // Consumer side of the mailbox handoff: shard s's drain phase, after
-    // the post-dispatch barrier — the producer's relay writes for this
-    // cycle all happen-before this point.
-    ch->xfer.assert_held();
-    if (ch->mail.empty()) continue;
-    shard_mail_count_[static_cast<std::size_t>(s)] += ch->mail.size();
-    for (Flit& f : ch->mail) ch->rx->push_committed(std::move(f));
-    ch->mail.clear();
-    // The wake the producer-side relay skipped: new data visible at
-    // now+1, issued on the consumer's own scheduler (shard s).
-    sim::Component* consumer = ch->rx->consumer();
-    assert(consumer != nullptr);
-    dom_->shard(s).wake_at(*consumer, now + 1);
+  ShardSeams& in = seams_[static_cast<std::size_t>(s)];
+  // Shard s's drain phase, after the post-dispatch barrier: every
+  // producer write of this cycle happens-before this point (see Link).
+  in.drain.assert_held();
+  const std::size_t e = (now + 1) & 1;
+  for (Link* link : in.links) {
+    if (!link->full[e]) continue;
+    // The wake the seam's producer skipped, issued on the consumer's
+    // own scheduler (shard s): new data visible at now+1.
+    ++in.flits;
+    dom_->shard(s).wake_at(*link->consumer, now + 1);
   }
 }
 
@@ -279,7 +221,19 @@ void Network::refresh_stats() {
 
 std::uint64_t Network::mailbox_flits() const {
   std::uint64_t total = 0;
-  for (std::uint64_t c : shard_mail_count_) total += c;
+  for (const ShardSeams& in : seams_) {
+    in.drain.assert_shared();  // after the run: no drain phase in flight
+    total += in.flits;
+  }
+  return total;
+}
+
+std::size_t Network::num_shard_channels() const {
+  std::size_t total = 0;
+  for (const ShardSeams& in : seams_) {
+    in.drain.assert_shared();  // links are fixed at wiring time
+    total += in.links.size();
+  }
   return total;
 }
 

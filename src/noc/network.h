@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cassert>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/thread_annotations.h"
@@ -18,38 +16,39 @@
 /// \file network.h
 /// The 2-D folded-torus NoC: routers plus inter-router links.
 ///
-/// Network owns every DeflectionRouter and every link FIFO and exposes the
+/// Network owns every DeflectionRouter and every link and exposes the
 /// local inject/eject queues that network interfaces (the TIE port, the
 /// pif2NoC bridge and the MPMMU's interface) attach to.
 ///
-/// Links are single-flit channels: a flit pushed at cycle T arrives at the
-/// downstream router at T+1, giving the one-cycle-per-hop latency the
-/// paper's switch RTL has.  (The FIFO capacity is 2 purely because of the
-/// kernel's pop-frees-space-next-cycle bookkeeping; steady-state occupancy
-/// is at most one flit, which tests assert.)
+/// Links are one-flit registers (noc::Link) in one contiguous array, four
+/// per node: a flit written at cycle T arrives at the downstream router
+/// at T+1, giving the one-cycle-per-hop latency the paper's switch RTL
+/// has.  The router aborts if it ever finds an entry it must write still
+/// full, so "at most one flit per link per cycle" is checked in every
+/// build mode.
 ///
 /// ## Sharded construction (sim::SimDomain)
 ///
 /// The domain-based constructor partitions the torus into contiguous row
-/// bands, one per shard: every router, link and local queue of a band
-/// lives on that shard's scheduler, and the vertical links crossing a
-/// band boundary (torus wrap included) are split into a producer-side
-/// FIFO that relays into a per-edge SPSC mailbox and a consumer-side
-/// FIFO the domain's drain phase fills (see sim/domain.h for the phase
+/// bands, one per shard: every router and local queue of a band lives
+/// on that shard's scheduler.  The vertical links crossing a band
+/// boundary (torus wrap included) are seam links: the producer only
+/// writes the entry, and the consumer shard's drain phase issues the
+/// consumer's t+1 wake (see Link and sim/domain.h for the phase
 /// protocol).  Row bands keep node ids contiguous per shard, which is
 /// what makes shard-ordered observer fan-in reproduce the canonical
 /// global event order bit-for-bit.  Per-shard StatSets keep the tick
 /// path race-free; stats() exposes the shard-merged aggregate, rebuilt
 /// by refresh_stats() (run helpers call it after a run; telemetry
 /// sampling refreshes automatically through the domain's pre-sample
-/// hook).  Deflection links never back-pressure (can_push() is an
-/// assert), so the relay split is timing-exact.
+/// hook).
 ///
-/// Flit uids are assigned per source node ((node << 20) | seq) so uid
-/// allocation — which feeds the router's oldest-first tie-break — never
-/// depends on within-cycle interleaving; single-thread and sharded runs
-/// therefore draw identical uid streams.  PEs/MPMMU traffic (app runs,
-/// always single-shard) keeps the global next_flit_uid() counter.
+/// Flit uids are assigned per source node (next_node_flit_uid in
+/// flit.h) so uid allocation — which feeds the router's oldest-first
+/// tie-break — never depends on within-cycle interleaving; single-thread
+/// and sharded runs therefore draw identical uid streams.  PEs/MPMMU
+/// traffic (app runs, always single-shard) keeps the global
+/// next_flit_uid() counter.
 
 namespace medea::noc {
 
@@ -110,11 +109,11 @@ class Network {
   /// Rebuild stats() from the per-shard sets (no-op in single mode).
   void refresh_stats();
 
-  /// Flits that crossed a shard boundary through a mailbox (0 in single
+  /// Flits that crossed a shard boundary over a seam link (0 in single
   /// mode) — the bench's cross-shard traffic metric.
   std::uint64_t mailbox_flits() const;
-  /// Shard-boundary channel count (0 in single mode).
-  std::size_t num_shard_channels() const { return channels_.size(); }
+  /// Seam link count (0 in single mode).
+  std::size_t num_shard_channels() const;
 
   /// Attach a flit-event observer to every router (nullptr detaches).
   /// The workload trace recorder and determinism tests hang off this.
@@ -127,16 +126,13 @@ class Network {
   /// single-shard by construction).
   std::uint32_t next_flit_uid() { return next_uid_++; }
 
-  /// Fresh unique flit id from `node`'s private stream:
-  /// (node << 20) | per-node sequence.  Synthetic traffic uses this so
-  /// uid allocation is independent of within-cycle interleaving — the
-  /// sharded kernel's bit-identity depends on it.
+  /// Fresh unique flit id from `node`'s private stream (see
+  /// next_node_flit_uid).  Synthetic traffic uses this so uid allocation
+  /// is independent of within-cycle interleaving — the sharded kernel's
+  /// bit-identity depends on it.
   std::uint32_t node_flit_uid(int node) {
-    auto& seq = node_seq_[static_cast<std::size_t>(node)];
-    ++seq;
-    assert(seq < (1u << kFlitUidSeqBits) &&
-           "per-node flit uid space exhausted");
-    return (static_cast<std::uint32_t>(node) << kFlitUidSeqBits) | seq;
+    return next_node_flit_uid(node_seq_[static_cast<std::size_t>(node)],
+                              node);
   }
 
   /// Reserve uid space: make the next next_flit_uid() return at least
@@ -147,20 +143,15 @@ class Network {
   }
 
  private:
-  /// One shard-boundary link: the producer-side FIFO relays committed
-  /// flits into `mail`; the consumer shard's drain phase moves them
-  /// into `rx` and wakes its consumer at t+1.
-  ///
-  /// `mail` is the SPSC mailbox of the sharded kernel: the producer
-  /// shard appends during its parallel phase (via relay, from the TX
-  /// FIFO's commit), the consumer shard drains after the post-dispatch
-  /// barrier.  Writer and reader are always separated by that barrier —
-  /// the `xfer` token records the handoff for clang's analysis.
-  struct ShardChannel {
-    core::Capability xfer;  ///< barrier-handed-off mailbox ownership
-    sim::Fifo<Flit>* rx = nullptr;
-    std::vector<Flit> mail MEDEA_GUARDED_BY(xfer);
-    static void relay(void* ctx, std::vector<Flit>& staged);
+  /// The seam links shard s consumes, walked by its drain phase, plus
+  /// the flits that drain found on them.  `drain` stands for shard s's
+  /// drain-phase context: wiring fills `links` before any run, the drain
+  /// phase is the only reader during a run, and mailbox_flits() reads
+  /// `flits` after it.
+  struct ShardSeams {
+    core::Capability drain;
+    std::vector<Link*> links MEDEA_GUARDED_BY(drain);
+    std::uint64_t flits MEDEA_GUARDED_BY(drain) = 0;
   };
 
   /// Per-shard observer buffer: records the shard's flit events during
@@ -168,8 +159,8 @@ class Network {
   /// domain's serial flush.
   class ShardEventBuffer;
 
-  void build_single(sim::Scheduler& sched, std::uint64_t seed);
-  void build_sharded(std::uint64_t seed);
+  void build(std::uint64_t seed);
+  void wire_links();
   void drain_shard(int s, sim::Cycle now);
   void flush_observer_events();
 
@@ -183,7 +174,8 @@ class Network {
   RouterConfig cfg_;
   sim::StatSet stats_ MEDEA_GUARDED_BY(serial_);
   std::vector<std::unique_ptr<DeflectionRouter>> routers_;
-  std::vector<std::unique_ptr<sim::Fifo<Flit>>> links_;
+  /// Link (node, d) at node * kNumDirs + d; sized once, never moved.
+  std::vector<Link> links_;
   std::uint32_t next_uid_ = 1;
   std::vector<std::uint32_t> node_seq_;
 
@@ -192,12 +184,7 @@ class Network {
   std::vector<sim::Scheduler*> node_sched_;  ///< per node (both modes)
   std::vector<int> shard_of_node_;
   std::vector<std::unique_ptr<sim::StatSet>> shard_stats_;
-  std::vector<std::unique_ptr<ShardChannel>> channels_;
-  std::vector<std::vector<ShardChannel*>> shard_channels_;  ///< per shard
-  /// Per-shard mailbox-flit tallies: slot s is written only by shard
-  /// s's drain phase and read after the run — per-slot ownership below
-  /// the analysis's granularity, so documented rather than annotated.
-  std::vector<std::uint64_t> shard_mail_count_;
+  std::vector<ShardSeams> seams_;  ///< per consumer shard
   std::vector<std::unique_ptr<ShardEventBuffer>> shard_obs_;
   FlitObserver* obs_target_ MEDEA_GUARDED_BY(serial_) = nullptr;
 };

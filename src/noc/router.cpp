@@ -43,15 +43,6 @@ DeflectionRouter::DeflectionRouter(sim::Scheduler& sched,
   inject_q_.set_consumer(this);
 }
 
-void DeflectionRouter::connect_input(Dir d, sim::Fifo<Flit>* link) {
-  in_[static_cast<int>(d)] = link;
-  link->set_consumer(this);
-}
-
-void DeflectionRouter::connect_output(Dir d, sim::Fifo<Flit>* link) {
-  out_[static_cast<int>(d)] = link;
-}
-
 void DeflectionRouter::tick(sim::Cycle now) {
   // 0. Lifecycle tracing: announce inject-queue entries that became
   //    visible this cycle (the FIFO wakes us whenever that happens, so
@@ -68,8 +59,12 @@ void DeflectionRouter::tick(sim::Cycle now) {
   // 1. Accept at most one flit per input link (hot potato: the router
   //    never stores flits, so everything accepted must leave this cycle).
   route_set_.clear();
-  for (auto* link : in_) {
-    if (link != nullptr && !link->empty()) route_set_.push_back(link->pop());
+  const std::size_t rd = now & 1;  // link entry written during now-1
+  for (Link* link : in_) {
+    if (link->full[rd]) {
+      route_set_.push_back(link->flit[rd]);
+      link->full[rd] = false;
+    }
   }
 
   // 2. Ejection: oldest flits addressed to this node, up to the local
@@ -153,7 +148,6 @@ void DeflectionRouter::tick(sim::Cycle now) {
   }
 
   // 4. Injection: one local flit if a port is still free.
-  bool injected_this_cycle = false;
   if (!inject_q_.empty()) {
     bool any_free = false;
     for (bool pf : port_free) any_free = any_free || pf;
@@ -170,7 +164,6 @@ void DeflectionRouter::tick(sim::Cycle now) {
       assigned[n_assigned++] = static_cast<Dir>(port);
       if (!productive) ++st_deflections_;
       ++st_injected_;
-      injected_this_cycle = true;
     }
   }
 
@@ -187,16 +180,19 @@ void DeflectionRouter::tick(sim::Cycle now) {
       lifecycle_->on_hop(now, node_id_, static_cast<int>(assigned[i]),
                          !was_productive, f);
     }
-    auto* link = out_[static_cast<int>(assigned[i])];
-    assert(link != nullptr && link->can_push() &&
-           "NoC links must always drain (no back-pressure in hot potato)");
-    link->push(f);
+    // Hot potato has no back-pressure: the entry read next cycle must be
+    // free, or a flit would be overwritten (see Link).
+    Link* link = out_[static_cast<int>(assigned[i])];
+    const std::size_t wr = rd ^ 1;
+    if (link->full[wr]) std::abort();
+    link->flit[wr] = f;
+    link->full[wr] = true;
+    if (!link->seam) scheduler().wake_at(*link->consumer, now + 1);
   }
 
   // A pending injection that lost arbitration (or is still queued behind
-  // the one-per-cycle limit) retries next cycle; link input arrivals wake
-  // us automatically via the link FIFOs' consumer hook.
-  (void)injected_this_cycle;
+  // the one-per-cycle limit) retries next cycle; link arrivals wake us
+  // from the producer's write (or the shard drain, for seam links).
   if (!inject_q_.empty()) wake();
 }
 

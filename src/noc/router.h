@@ -34,6 +34,37 @@ namespace medea::noc {
 // FlitObserver (the flit-event hook both router models fire) lives in
 // flit.h so the buffered-XY baseline can use it without this header.
 
+/// One unidirectional router-to-router link: a one-flit register.
+///
+/// A hot-potato link carries at most one flit per cycle and never
+/// back-pressures, so it needs no queue and no end-of-cycle commit.  The
+/// register is double-buffered by cycle parity: during cycle t the
+/// producer router writes entry (t+1)&1 and wakes the consumer for t+1,
+/// while the consumer router reads and clears entry t&1.  A flit sent at
+/// t is therefore seen at t+1 (one cycle per hop), and the two sides
+/// never touch the same entry in one cycle — even when they are the same
+/// router (the loopback links of a 1-wide or 1-tall torus).  Writing an
+/// entry that is still full would mean a flit was dropped, so the router
+/// aborts instead (in every build mode).
+///
+/// A seam link (consumer on another shard of a sim::SimDomain) skips the
+/// producer-side wake: the consumer shard's drain phase finds the full
+/// entry and wakes the consumer on its own scheduler.  Cross-shard entry
+/// ownership: the producer shard writes entry (t+1)&1 while dispatching
+/// t; the consumer shard reads it in its drain phase after the
+/// post-dispatch barrier of t, then reads and clears it while
+/// dispatching t+1; the producer writes it again no earlier than t+2.
+/// Every write and read of one entry is separated by a barrier, so the
+/// link needs no atomics.  Ownership that flips with cycle parity is
+/// finer than clang's capability analysis can express, so it is
+/// documented here rather than annotated (ThreadSanitizer checks it).
+struct Link {
+  std::array<Flit, 2> flit{};
+  std::array<bool, 2> full{};
+  bool seam = false;                   ///< consumer on another shard
+  sim::Component* consumer = nullptr;  ///< router reading this link
+};
+
 struct RouterConfig {
   int eject_per_cycle = 1;      ///< local delivery bandwidth (flits/cycle)
   int inject_queue_depth = 2;   ///< NI-side injection staging
@@ -57,8 +88,10 @@ class DeflectionRouter : public sim::Component {
   Coord pos() const { return pos_; }
 
   /// Wiring (done once by Network during construction).
-  void connect_input(Dir d, sim::Fifo<Flit>* link);
-  void connect_output(Dir d, sim::Fifo<Flit>* link);
+  void connect_input(Dir d, Link* link) { in_[static_cast<int>(d)] = link; }
+  void connect_output(Dir d, Link* link) {
+    out_[static_cast<int>(d)] = link;
+  }
 
   /// Local-port queues: the network interface pushes into inject() and
   /// pops from eject().
@@ -100,8 +133,8 @@ class DeflectionRouter : public sim::Component {
   sim::Accumulator& acc_hops_;
   sim::Accumulator& acc_defl_;
 
-  std::array<sim::Fifo<Flit>*, kNumDirs> in_{};
-  std::array<sim::Fifo<Flit>*, kNumDirs> out_{};
+  std::array<Link*, kNumDirs> in_{};
+  std::array<Link*, kNumDirs> out_{};
   sim::Fifo<Flit> inject_q_;
   sim::Fifo<Flit> eject_q_;
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -61,11 +60,8 @@ class XyNetwork {
   /// Network::node_flit_uid, so the shared traffic templates draw
   /// identical uid sequences on either fabric.
   std::uint32_t node_flit_uid(int node) {
-    auto& seq = node_seq_[static_cast<std::size_t>(node)];
-    ++seq;
-    assert(seq < (1u << kFlitUidSeqBits) &&
-           "per-node flit uid space exhausted");
-    return (static_cast<std::uint32_t>(node) << kFlitUidSeqBits) | seq;
+    return next_node_flit_uid(node_seq_[static_cast<std::size_t>(node)],
+                              node);
   }
 
   /// Reserve uid space: make the next next_flit_uid() return at least

@@ -18,8 +18,9 @@
 /// head-of-line blocking on long packets, and require a back-pressure
 /// mechanism; their storage is far above the theoretical minimum).
 ///
-/// This model keeps the same link/flit fabric as DeflectionRouter so the
-/// two can be compared head-to-head on identical traffic:
+/// This model keeps the same flits, torus wiring and one-cycle hops as
+/// DeflectionRouter so the two can be compared head-to-head on identical
+/// traffic (its links are Fifos, since they must back-pressure):
 ///  * each input port has a FIFO of configurable depth,
 ///  * a flit moves only when the downstream buffer has space (credit
 ///    check on the shared link FIFO),

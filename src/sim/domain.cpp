@@ -238,8 +238,8 @@ bool SimDomain::shard_loop(int s, Cycle limit) {
       sch.fast_forward(t);
     }
     barrier_wait(&wait_ns);
-    // Incoming mailboxes: deliver flits committed by neighbor shards
-    // this cycle (visible at t+1, like any committed push).
+    // Drain hooks: wake this shard's consumers of seam links neighbor
+    // shards wrote this cycle (visible at t+1, like any link write).
     for (auto& fn : my_drains) fn(t);
   }
 

@@ -18,12 +18,13 @@
 /// into per-thread shards (a torus shards by row bands — see
 /// noc::Network), each shard owns its components and runs its own
 /// calendar queue, and shards synchronize at every active cycle with a
-/// sense-reversing spin barrier.  Cross-shard channels are split into a
-/// producer-side FIFO whose commit relays into a per-edge SPSC mailbox
-/// (Fifo::set_relay) and a consumer-side FIFO filled by the domain's
-/// drain phase (Fifo::push_committed) — a flit crossing the boundary at
-/// cycle c is delivered before the neighbor shard dispatches c+1, which
-/// is exactly the shared-FIFO visibility rule.
+/// sense-reversing spin barrier.  Cross-shard links are one-flit
+/// registers double-buffered by cycle parity (noc::Link): the producer
+/// shard writes the entry for c+1 while dispatching cycle c, and the
+/// consumer shard's drain phase, after the post-dispatch barrier, wakes
+/// the consumer for c+1 on its own scheduler — so a flit crossing the
+/// boundary at cycle c is seen when the neighbor shard dispatches c+1,
+/// exactly the single-thread link timing.
 ///
 /// One global cycle runs in three barrier-separated phases:
 ///
@@ -33,11 +34,11 @@
 ///             order), min-reduce the global next cycle t, fire the
 ///             cycle hook for t; barrier
 ///   parallel  due shards dispatch_cycle(t), idle shards
-///             fast_forward(t); barrier; each shard drains its incoming
-///             mailboxes (push_committed + consumer wakes at t+1)
+///             fast_forward(t); barrier; each shard runs its drain
+///             hooks (consumer wakes at t+1 for full seam links)
 ///
-/// Every phase boundary is a full acquire/release barrier, so the
-/// mailboxes and per-shard state need no atomics of their own — writers
+/// Every phase boundary is a full acquire/release barrier, so the seam
+/// links and per-shard state need no atomics of their own — writers
 /// and readers of any location are always separated by a barrier, which
 /// is also what makes the kernel ThreadSanitizer-clean.
 ///
@@ -131,9 +132,10 @@ class SimDomain {
   // Cross-shard services (registered at model construction time)
   // ------------------------------------------------------------------
 
-  /// Per-shard drain-phase work: deliver shard `s`'s incoming mailboxes
-  /// for the cycle just dispatched.  Runs on shard s's thread, after
-  /// every shard's commits and before any shard's next dispatch.
+  /// Per-shard drain-phase work for the cycle just dispatched: turn what
+  /// neighbor shards wrote for shard `s` this cycle (full seam links)
+  /// into wakes on shard s's own scheduler.  Runs on shard s's thread,
+  /// after every shard's commits and before any shard's next dispatch.
   void add_shard_drain(int s, std::function<void(Cycle)> fn);
 
   /// Serial end-of-cycle work (observer fan-in flush, in registration

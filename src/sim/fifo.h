@@ -13,9 +13,12 @@
 /// \file fifo.h
 /// Synchronous single-producer/single-consumer FIFO channel.
 ///
-/// This is the universal interconnect primitive of the model: NoC links,
-/// the TIE message-passing ports, the pif2NoC arbiter queues and the
-/// MPMMU's Pif-Request / Pif-Data / outgoing queues are all Fifo<T>.
+/// This is the general interconnect primitive of the model: the routers'
+/// inject/eject queues, the buffered-XY baseline's links, the TIE
+/// message-passing ports, the pif2NoC arbiter queues and the MPMMU's
+/// Pif-Request / Pif-Data / outgoing queues are all Fifo<T>.  (The
+/// deflection fabric's links are one-flit registers instead — see
+/// noc::Link.)
 ///
 /// Timing semantics (hardware-faithful):
 ///  * push() during cycle T becomes visible to the consumer at T+1.
@@ -34,14 +37,9 @@
 /// from the owning shard's scheduler context (its dispatch and commit
 /// phases), or from the external thread while no run is in flight.
 /// That ownership is encoded in the `owner_` capability token: mutators
-/// assert exclusive ownership, const readers assert shared.  The only
-/// cross-shard path is the boundary relay — commit() hands the staged
-/// batch to the relay hook, which appends it to a SimDomain mailbox
-/// (noc::Network::ShardChannel); the consumer-side half is a *different*
-/// Fifo on the consumer's shard, filled via push_committed() from the
-/// consumer shard's own drain phase.  Neither half is ever shared
-/// between threads; the mailbox in between is barrier-handed-off and
-/// carries its own capability.
+/// assert exclusive ownership, const readers assert shared.  No Fifo is
+/// ever shared between shards: producer and consumer always run on the
+/// owning shard.
 
 namespace medea::sim {
 
@@ -68,45 +66,6 @@ class Fifo : public Committable {
   void set_producer(Component* c) {
     owner_.assert_held();  // wiring time: model construction, pre-run
     producer_ = c;
-  }
-  Component* consumer() const {
-    owner_.assert_shared();
-    return consumer_;
-  }
-
-  // ------------------------------------------------------------------
-  // Shard-boundary relay (sim::SimDomain cross-shard links)
-  // ------------------------------------------------------------------
-
-  /// Boundary-relay hook: when set, commit() hands the cycle's staged
-  /// batch to `fn` (a mailbox append on the producer shard) instead of
-  /// appending to the committed queue and waking the consumer.  The
-  /// consumer-side half of the split link receives the batch next via
-  /// push_committed() in the domain's drain phase, which reproduces the
-  /// shared-FIFO timing exactly (push at T -> visible at T+1).
-  ///
-  /// Only sound for channels whose producer never observes occupancy
-  /// (the deflection fabric's links: no back-pressure, can_push() is an
-  /// assert) — a relayed FIFO's committed queue stays empty, so
-  /// producer_occupancy() undercounts in-flight entries.
-  using RelayFn = void (*)(void* ctx, std::vector<T>& staged);
-  void set_relay(RelayFn fn, void* ctx) {
-    owner_.assert_held();  // wiring time: model construction, pre-run
-    relay_ = fn;
-    relay_ctx_ = ctx;
-  }
-
-  /// Consumer-side delivery of relayed entries: append directly to the
-  /// committed queue (the domain drain phase runs strictly between
-  /// cycles, standing in for the producer shard's commit()).  The caller
-  /// wakes the consumer; this keeps the wake on the consumer's own
-  /// scheduler.
-  void push_committed(T v) {
-    // Drain phase of the owning (consumer) shard: runs strictly between
-    // global cycles, standing in for the producer shard's commit().
-    owner_.assert_held();
-    assert(capacity_ == 0 || q_.size() < capacity_);
-    q_.push_back(std::move(v));
   }
 
   // ------------------------------------------------------------------
@@ -182,20 +141,7 @@ class Fifo : public Committable {
   // ------------------------------------------------------------------
 
   void commit() override {
-    // Commit phase of the owning shard's scheduler, or (for a relayed
-    // boundary link) the producer shard handing its batch to the
-    // mailbox — either way, this shard's execution context.
-    owner_.assert_held();
-    if (relay_ != nullptr) {
-      // Boundary link: the staged batch crosses to the consumer shard's
-      // mailbox; the drain phase over there delivers it and issues the
-      // consumer wake this branch skips.
-      if (!staged_.empty()) relay_(relay_ctx_, staged_);
-      staged_.clear();
-      popped_this_cycle_ = 0;
-      commit_stamp_ = kNeverCycle;
-      return;
-    }
+    owner_.assert_held();  // commit phase of the owning shard
     const bool gained_data = !staged_.empty();
     for (auto& v : staged_) q_.push_back(std::move(v));
     staged_.clear();
@@ -243,8 +189,6 @@ class Fifo : public Committable {
   mutable bool push_blocked_ MEDEA_GUARDED_BY(owner_) = false;
   Component* consumer_ MEDEA_GUARDED_BY(owner_) = nullptr;
   Component* producer_ MEDEA_GUARDED_BY(owner_) = nullptr;
-  RelayFn relay_ MEDEA_GUARDED_BY(owner_) = nullptr;
-  void* relay_ctx_ MEDEA_GUARDED_BY(owner_) = nullptr;
 };
 
 }  // namespace medea::sim

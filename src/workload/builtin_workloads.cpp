@@ -49,8 +49,9 @@ void add_memory_telemetry(ScopedTelemetry& telemetry, core::MedeaSystem& sys) {
 /// kernel-*independent* ones belong here: the differential tests compare
 /// full counter maps across event-queue kernels (heap, calendar, sharded
 /// at any shard count), so bucket_pushes/overflow_pushes (two-tier
-/// placement) and commit_pushes/commits_deduped (a split boundary link
-/// arms its TX and RX halves separately) stay out — all four remain
+/// placement, which differs between the ring and the heap) stay out.
+/// commit_pushes/commits_deduped stay out too: they count the host's
+/// Fifo commit-list bookkeeping, not modelled hardware.  All four remain
 /// visible as timeline series via Sampler::attach().
 void add_sched_stats(const sim::Scheduler& sched, sim::StatSet& stats) {
   stats.set("sched.wake_requests", sched.wake_requests());

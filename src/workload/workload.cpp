@@ -94,6 +94,28 @@ void validate_request(const RunRequest& req, const Workload& w) {
     throw std::invalid_argument(
         "replay workload: replay.trace_path must name a recorded trace");
   }
+  if (k == WorkloadKind::kSynthetic) {
+    // Synthetic endpoints draw per-node flit uids (noc/flit.h), whose
+    // node and sequence fields must not wrap: a wrapped uid aliases
+    // another flit and silently corrupts uid-keyed traces and
+    // tie-breaks.
+    const long long nodes =
+        static_cast<long long>(req.machine.noc_width) * req.machine.noc_height;
+    if (nodes > noc::kMaxFlitUidNodes) {
+      throw std::invalid_argument(
+          "machine.noc_width x machine.noc_height: " + std::to_string(nodes) +
+          " nodes exceed the " + std::to_string(noc::kMaxFlitUidNodes) +
+          "-node flit uid space of synthetic traffic");
+    }
+    if (req.synthetic.has_value() &&
+        req.synthetic->flits_per_node >
+            static_cast<long long>(noc::kMaxFlitUidSeq)) {
+      throw std::invalid_argument(
+          "synthetic.flits_per_node must be <= " +
+          std::to_string(noc::kMaxFlitUidSeq) +
+          " (the per-node flit uid sequence space)");
+    }
+  }
   const MeasurementParams& m = req.measurement;
   if (m.phased && k != WorkloadKind::kSynthetic) {
     throw std::invalid_argument(

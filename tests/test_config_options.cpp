@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/medea.h"
+#include "noc/flit.h"
 #include "noc/traffic.h"
 #include "sim/rng.h"
 #include "workload/workload.h"
@@ -299,6 +303,59 @@ TEST(RunRequestFootguns, PhasedMeasurementOnReplayIsAnError) {
   EXPECT_THROW(workload::run_by_name("replay", req), std::invalid_argument)
       << "phased warmup/measure/drain only applies to rate-controlled "
          "synthetic traffic";
+}
+
+// ---------------------------------------------------------------------
+// Flit uid space: per-node uid streams must never wrap
+// ---------------------------------------------------------------------
+
+TEST(FlitUidSpace, SyntheticRunBeyond4096NodesIsRejected) {
+  // 65x65 = 4225 nodes: the uids of node 4096 used to wrap onto node 0's,
+  // so a flit trace silently lost every flit sent from nodes >= 4096.
+  workload::RunRequest req;
+  req.machine.noc_width = 65;
+  req.machine.noc_height = 65;
+  req.synthetic = workload::SyntheticParams{};
+  req.synthetic->injection_rate = 0.5;
+  req.synthetic->flits_per_node = 3;
+  try {
+    workload::run_by_name("uniform", req);
+    FAIL() << "a 4225-node synthetic run must be rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("noc_width"), std::string::npos) << msg;
+  }
+  // 64x64 = 4096 nodes is the largest fabric the uid layout addresses.
+  req.machine.noc_width = 64;
+  req.machine.noc_height = 64;
+  EXPECT_NO_THROW(workload::run_by_name("uniform", req));
+}
+
+TEST(FlitUidSpace, BudgetBeyondSequenceSpaceIsRejected) {
+  workload::RunRequest req;
+  req.machine.noc_width = 2;
+  req.machine.noc_height = 1;
+  req.synthetic = workload::SyntheticParams{};
+  req.synthetic->injection_rate = 1.0;
+  req.synthetic->flits_per_node = 1 << noc::kFlitUidSeqBits;
+  try {
+    workload::run_by_name("uniform", req);
+    FAIL() << "a budget past the per-node uid sequence must be rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("flits_per_node"), std::string::npos) << msg;
+  }
+}
+
+TEST(FlitUidSpaceDeathTest, WrappingStreamAbortsInEveryBuildMode) {
+  // Unbounded (phased) runs have no budget to validate up front; the
+  // allocator itself must fail hard rather than hand out aliased uids.
+  std::uint32_t seq = noc::kMaxFlitUidSeq - 1;
+  EXPECT_EQ(noc::next_node_flit_uid(seq, 3),
+            (3u << noc::kFlitUidSeqBits) | noc::kMaxFlitUidSeq);
+  EXPECT_DEATH(noc::next_node_flit_uid(seq, 3), "");
+  std::uint32_t fresh = 0;
+  EXPECT_DEATH(noc::next_node_flit_uid(fresh, noc::kMaxFlitUidNodes), "");
 }
 
 // ---------------------------------------------------------------------

@@ -348,8 +348,8 @@ TEST(SchedulerDiff, TinyRingMatchesLegacyAcrossWraps) {
 
 /// A hand-crafted trace that injects at *every* consecutive cycle from
 /// the rows on both sides of every 2-shard seam of a 4x4 torus (rows
-/// 1<->2, plus the wrap seam 3<->0), so each global cycle both commits
-/// flits into boundary mailboxes and drains them.
+/// 1<->2, plus the wrap seam 3<->0), so each global cycle both writes
+/// flits onto seam links and drains them.
 workload::Trace boundary_trace() {
   workload::Trace t;
   t.meta.width = 4;
@@ -415,7 +415,7 @@ TEST(ShardedDiff, BoundaryCycleInjectionMatchesSingleThread) {
     o.res = workload::run_replay(dom, net, trace);
     // Every flit in this trace crosses a seam; with 2 shards the two
     // row-1<->2 streams (and half of each deflection detour) must have
-    // moved through mailboxes.
+    // crossed seam links.
     EXPECT_GT(net.mailbox_flits(), 0u);
     o.log = std::move(log.v);
     o.stats = net.stats();
@@ -450,6 +450,26 @@ TEST(ShardedDiff, UnevenShardWidthsAreBitIdentical) {
   req.synthetic->injection_rate = 0.6;
   req.synthetic->flits_per_node = 80;
   check_workload_identical("uniform", req);
+}
+
+TEST(ShardedDiff, LoopbackAndAllSeamToriAreBitIdentical) {
+  // 1-wide and 1-tall tori: on 1x6 every E/W link (on 6x1 every N/S
+  // link) leaves and re-enters the same router, so one router reads one
+  // parity of its own link while writing the other.  1x6 also shards by
+  // rows: half its N/S links are seams under 3 shards, and all of them
+  // under 6.
+  const auto torus = [](int w, int h) {
+    workload::RunRequest req = tiny_req(calendar_cfg(), "uniform");
+    req.machine.noc_width = w;
+    req.machine.noc_height = h;
+    req.synthetic->injection_rate = 0.5;
+    return req;
+  };
+  check_workload_identical("uniform", torus(1, 6));
+  check_workload_identical("uniform", torus(6, 1));
+  expect_runs_identical(run_kernel("uniform", torus(1, 6), calendar_cfg()),
+                        run_kernel("uniform", torus(1, 6), sharded_cfg(6)),
+                        "uniform 1x6 [sharded x6, every N/S link a seam]");
 }
 
 TEST(ShardedDiff, MoreShardsThanRowsClampAndMatch) {

@@ -204,9 +204,8 @@ TEST(TelemetryRun, CommitDedupAbsorbsSameCycleRearms) {
   // Satellite: the Fifo epoch-stamp dedup. Multi-flit pushes into the
   // same queue in one cycle used to enter the commit list repeatedly;
   // now duplicates are counted instead of queued.  The commit counters
-  // are kernel-dependent (a sharded run's split boundary links arm
-  // their TX and RX halves separately), so they live on the timeline,
-  // not in the cross-kernel-comparable run stats.
+  // measure the host's commit-list bookkeeping rather than modelled
+  // hardware, so they live on the timeline, not in the run stats.
   workload::RunRequest req = small_uniform(64);
   req.synthetic->injection_rate = 0.6;  // busy queues => same-cycle re-arms
   const workload::RunResult r = workload::run_by_name("uniform", req);
