@@ -3,6 +3,7 @@
 #include <cassert>
 #include <compare>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 /// \file coord.h
@@ -60,11 +61,10 @@ class TorusGeometry {
   /// neighbor() below are provably value-preserving.
   static constexpr int kMaxAxis = 256;
 
-  TorusGeometry(int width, int height) : w_(width), h_(height) {
-    assert(width >= 1 && height >= 1);
-    assert(width <= kMaxAxis && height <= kMaxAxis &&
-           "axis size exceeds Coord's uint8_t range");
-  }
+  /// Throws std::invalid_argument, in every build mode, when an axis is
+  /// outside [1, kMaxAxis]: a wider axis would silently alias Coords.
+  TorusGeometry(int width, int height)
+      : w_(checked_axis("width", width)), h_(checked_axis("height", height)) {}
 
   int width() const { return w_; }
   int height() const { return h_; }
@@ -130,6 +130,19 @@ class TorusGeometry {
   }
 
  private:
+  static int checked_axis(const char* axis, int n) {
+    if (n >= 1 && n <= kMaxAxis) return n;
+    // Built with append: GCC 12's -O3 -Wrestrict misfires on `+` chains.
+    std::string msg = "torus ";
+    msg += axis;
+    msg += ' ';
+    msg += std::to_string(n);
+    msg += " is outside [1, ";
+    msg += std::to_string(kMaxAxis);
+    msg += ']';
+    throw std::invalid_argument(msg);
+  }
+
   static int wrap(int v, int m) { return ((v % m) + m) % m; }
   static int axis_dist(int a, int b, int m) {
     const int d = ((b - a) % m + m) % m;

@@ -95,25 +95,41 @@ void validate_request(const RunRequest& req, const Workload& w) {
         "replay workload: replay.trace_path must name a recorded trace");
   }
   if (k == WorkloadKind::kSynthetic) {
+    // Axis bounds first (throws naming the axis), so the node count
+    // below describes a real torus.
+    const noc::TorusGeometry geom(req.machine.noc_width,
+                                  req.machine.noc_height);
     // Synthetic endpoints draw per-node flit uids (noc/flit.h), whose
     // node and sequence fields must not wrap: a wrapped uid aliases
     // another flit and silently corrupts uid-keyed traces and
     // tie-breaks.
-    const long long nodes =
-        static_cast<long long>(req.machine.noc_width) * req.machine.noc_height;
+    const long long nodes = geom.num_nodes();
     if (nodes > noc::kMaxFlitUidNodes) {
       throw std::invalid_argument(
           "machine.noc_width x machine.noc_height: " + std::to_string(nodes) +
           " nodes exceed the " + std::to_string(noc::kMaxFlitUidNodes) +
           "-node flit uid space of synthetic traffic");
     }
+    // A negative budget means "unlimited" to the endpoints, which only
+    // phased runs bound (they set it themselves).
     if (req.synthetic.has_value() &&
-        req.synthetic->flits_per_node >
-            static_cast<long long>(noc::kMaxFlitUidSeq)) {
+        (req.synthetic->flits_per_node < 0 ||
+         req.synthetic->flits_per_node >
+             static_cast<long long>(noc::kMaxFlitUidSeq))) {
       throw std::invalid_argument(
-          "synthetic.flits_per_node must be <= " +
+          "synthetic.flits_per_node must be in [0, " +
           std::to_string(noc::kMaxFlitUidSeq) +
-          " (the per-node flit uid sequence space)");
+          "] (the per-node flit uid sequence space)");
+    }
+    // A hotspot outside the fabric addresses no router: its flits are
+    // never ejected and a budgeted run never drains.
+    if (req.synthetic.has_value() &&
+        (req.synthetic->hotspot_node < 0 ||
+         req.synthetic->hotspot_node >= nodes)) {
+      throw std::invalid_argument(
+          "synthetic.hotspot_node " +
+          std::to_string(req.synthetic->hotspot_node) + " is outside [0, " +
+          std::to_string(nodes) + ") (the fabric's node ids)");
     }
   }
   const MeasurementParams& m = req.measurement;

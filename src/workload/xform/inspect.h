@@ -56,7 +56,7 @@ std::string format_inspection(const Trace& t, const TraceInspection& insp);
 /// with the trace header, per-source counts/rates, the src->dst traffic
 /// matrix (row-major, rows = src) and both histograms — so notebooks and
 /// scripts consume the matrices directly instead of scraping the text
-/// rendering (`trace_tool inspect --json`).
+/// rendering (`medea_cli inspect --json`).
 std::string format_inspection_json(const Trace& t,
                                    const TraceInspection& insp);
 

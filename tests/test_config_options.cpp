@@ -337,14 +337,41 @@ TEST(FlitUidSpace, BudgetBeyondSequenceSpaceIsRejected) {
   req.machine.noc_height = 1;
   req.synthetic = workload::SyntheticParams{};
   req.synthetic->injection_rate = 1.0;
-  req.synthetic->flits_per_node = 1 << noc::kFlitUidSeqBits;
-  try {
-    workload::run_by_name("uniform", req);
-    FAIL() << "a budget past the per-node uid sequence must be rejected";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("flits_per_node"), std::string::npos) << msg;
+  // A negative budget is an unbounded non-phased run: it used to inject
+  // until the uid allocator aborted.
+  for (const int budget : {1 << noc::kFlitUidSeqBits, -5}) {
+    req.synthetic->flits_per_node = budget;
+    try {
+      workload::run_by_name("uniform", req);
+      FAIL() << "budget " << budget << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("flits_per_node"), std::string::npos) << msg;
+    }
   }
+}
+
+TEST(FlitUidSpace, HotspotOutsideTheFabricIsRejected) {
+  // Flits addressed to a node that does not exist are never ejected:
+  // `hotspot --hotspot=999` on a 4x4 torus used to run forever.
+  // Validated up front, so this test cannot hang on a regression.
+  const workload::Workload& hotspot =
+      workload::WorkloadRegistry::instance().at("hotspot");
+  workload::RunRequest req;
+  req.synthetic = workload::SyntheticParams{};
+  req.synthetic->flits_per_node = 2;
+  for (const int node : {999, 16, -1}) {
+    req.synthetic->hotspot_node = node;
+    try {
+      workload::validate_request(req, hotspot);
+      FAIL() << "hotspot node " << node << " is outside a 4x4 torus";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("hotspot_node"), std::string::npos) << msg;
+    }
+  }
+  req.synthetic->hotspot_node = 15;
+  EXPECT_NO_THROW(workload::run_by_name("hotspot", req));
 }
 
 TEST(FlitUidSpaceDeathTest, WrappingStreamAbortsInEveryBuildMode) {

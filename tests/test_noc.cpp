@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "noc/coord.h"
@@ -130,6 +132,27 @@ TEST(Torus, NodeIdRoundTrip) {
   for (int id = 0; id < g.num_nodes(); ++id) {
     EXPECT_EQ(g.node_id(g.coord_of(id)), id);
   }
+}
+
+TEST(Torus, AxisOutsideCoordRangeThrowsInEveryBuildMode) {
+  // Coord holds 8-bit coordinates: a 300-wide torus used to pass an
+  // NDEBUG-compiled assert and alias coordinates (a Release segfault),
+  // and a 0-wide one "ran" for 0 cycles.
+  const auto message = [](int w, int h) -> std::string {
+    try {
+      static_cast<void>(TorusGeometry(w, h));
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(message(300, 1).find("width 300"), std::string::npos);
+  EXPECT_NE(message(0, 4).find("width 0"), std::string::npos);
+  EXPECT_NE(message(4, -1).find("height -1"), std::string::npos);
+  EXPECT_NE(message(1, TorusGeometry::kMaxAxis + 1).find("height"),
+            std::string::npos);
+  EXPECT_NO_THROW(TorusGeometry(TorusGeometry::kMaxAxis, 1));
+  EXPECT_NO_THROW(TorusGeometry(1, 1));
 }
 
 TEST(Torus, ProductiveDirsReduceDistance) {
