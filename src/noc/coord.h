@@ -100,11 +100,15 @@ class TorusGeometry {
   /// one hop along it strictly reduces torus distance.  On an even ring
   /// at exactly half the circumference, both directions along that axis
   /// are productive; the deterministic listing order is E/W then S/N.
+  /// Both coordinates lie in [0, axis), so the forward hop count needs
+  /// one conditional add, not wrap()'s divisions (this runs for every
+  /// routed flit of every router tick).
   int productive_dirs(Coord from, Coord to, Dir out[4]) const {
     int n = 0;
     if (from.x != to.x) {
-      const int fwd = wrap(to.x - from.x, w_);  // hops going East
-      const int bwd = w_ - fwd;                 // hops going West
+      int fwd = to.x - from.x;  // hops going East
+      if (fwd < 0) fwd += w_;
+      const int bwd = w_ - fwd;  // hops going West
       if (fwd < bwd) {
         out[n++] = Dir::kEast;
       } else if (bwd < fwd) {
@@ -115,8 +119,9 @@ class TorusGeometry {
       }
     }
     if (from.y != to.y) {
-      const int fwd = wrap(to.y - from.y, h_);  // hops going South
-      const int bwd = h_ - fwd;                 // hops going North
+      int fwd = to.y - from.y;  // hops going South
+      if (fwd < 0) fwd += h_;
+      const int bwd = h_ - fwd;  // hops going North
       if (fwd < bwd) {
         out[n++] = Dir::kSouth;
       } else if (bwd < fwd) {

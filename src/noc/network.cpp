@@ -152,14 +152,15 @@ void Network::build(std::uint64_t seed) {
   // the DeflectionRouter constructor comment: per-router generators keep
   // stochastic tie-breaks independent of within-cycle tick order).
   sim::SplitMix64 streams(seed);
-  routers_.reserve(static_cast<std::size_t>(n));
+  routers_ = std::vector<std::optional<DeflectionRouter>>(
+      static_cast<std::size_t>(n));
   for (int id = 0; id < n; ++id) {
     sim::StatSet& st =
         shard_stats_.empty()
             ? stats_
             : *shard_stats_[static_cast<std::size_t>(shard_of(id))];
-    routers_.push_back(std::make_unique<DeflectionRouter>(
-        sched_of(id), geom_, geom_.coord_of(id), cfg_, st, streams.next()));
+    routers_[static_cast<std::size_t>(id)].emplace(
+        sched_of(id), geom_, geom_.coord_of(id), cfg_, st, streams.next());
   }
   wire_links();
 }

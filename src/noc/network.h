@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/thread_annotations.h"
@@ -16,7 +17,8 @@
 /// \file network.h
 /// The 2-D folded-torus NoC: routers plus inter-router links.
 ///
-/// Network owns every DeflectionRouter and every link and exposes the
+/// Network owns every DeflectionRouter (one contiguous array in node
+/// order, swept by the tick loop) and every link, and exposes the
 /// local inject/eject queues that network interfaces (the TIE port, the
 /// pif2NoC bridge and the MPMMU's interface) attach to.
 ///
@@ -173,7 +175,10 @@ class Network {
   TorusGeometry geom_;
   RouterConfig cfg_;
   sim::StatSet stats_ MEDEA_GUARDED_BY(serial_);
-  std::vector<std::unique_ptr<DeflectionRouter>> routers_;
+  /// Routers in node order, in one contiguous allocation sized once by
+  /// build(): a router is pinned (links and its scheduler hold its
+  /// address), so each is constructed in place and never moves.
+  std::vector<std::optional<DeflectionRouter>> routers_;
   /// Link (node, d) at node * kNumDirs + d; sized once, never moved.
   std::vector<Link> links_;
   std::uint32_t next_uid_ = 1;

@@ -1,7 +1,5 @@
 #include "noc/router.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cstdlib>
 
 namespace medea::noc {
@@ -12,6 +10,20 @@ namespace {
 /// observed "sporadic cases of single flits delivered with high latency";
 /// this counter lets experiments quantify that tail.
 constexpr std::uint16_t kLivelockHops = 256;
+
+/// One flit of the route set, with the output port it was assigned and
+/// whether that port is productive (decided once per hop, see assign).
+struct Slot {
+  Flit flit;
+  int port;
+  bool productive;
+};
+
+/// Oldest-first priority: earlier injection wins, uid breaks age ties.
+bool older(const Flit& a, const Flit& b) {
+  if (a.inject_cycle != b.inject_cycle) return a.inject_cycle < b.inject_cycle;
+  return a.uid < b.uid;
+}
 
 }  // namespace
 
@@ -25,7 +37,6 @@ DeflectionRouter::DeflectionRouter(sim::Scheduler& sched,
       pos_(pos),
       node_id_(geom.node_id(pos)),
       cfg_(cfg),
-      stats_(net_stats),
       rng_(rng_seed),
       st_delivered_(net_stats.counter("noc.flits_delivered")),
       st_delivered_here_(net_stats.counter(
@@ -58,134 +69,109 @@ void DeflectionRouter::tick(sim::Cycle now) {
 
   // 1. Accept at most one flit per input link (hot potato: the router
   //    never stores flits, so everything accepted must leave this cycle).
-  route_set_.clear();
+  //    The route set is kept oldest-first by stable insertion: an arrival
+  //    moves ahead only of strictly younger flits, so age ties keep link
+  //    order.  One flit per link bounds it at kNumDirs.
+  Slot set[kNumDirs];
+  int n = 0;
   const std::size_t rd = now & 1;  // link entry written during now-1
   for (Link* link : in_) {
-    if (link->full[rd]) {
-      route_set_.push_back(link->flit[rd]);
-      link->full[rd] = false;
+    if (!link->full[rd]) continue;
+    link->full[rd] = false;
+    const Flit& f = link->flit[rd];
+    int i = n++;
+    for (; i > 0 && older(f, set[i - 1].flit); --i) {
+      set[i].flit = set[i - 1].flit;
     }
+    set[i].flit = f;
   }
 
   // 2. Ejection: oldest flits addressed to this node, up to the local
   //    delivery bandwidth, space permitting.  Flits that cannot eject stay
   //    in the route set and deflect around the network.
   int ejected = 0;
-  if (!route_set_.empty()) {
-    std::stable_sort(route_set_.begin(), route_set_.end(),
-                     [](const Flit& a, const Flit& b) {
-                       if (a.inject_cycle != b.inject_cycle)
-                         return a.inject_cycle < b.inject_cycle;
-                       return a.uid < b.uid;
-                     });
-    for (auto it = route_set_.begin();
-         it != route_set_.end() && ejected < cfg_.eject_per_cycle;) {
-      if (it->dst == pos_ && eject_q_.can_push()) {
-        ++st_delivered_;
-        ++st_delivered_here_;
-        acc_latency_.add(static_cast<double>(now - it->inject_cycle));
-        acc_hops_.add(it->hops);
-        acc_defl_.add(it->deflections);
-        if (it->hops >= kLivelockHops) ++st_livelock_;
-        if (observer_ != nullptr) observer_->on_deliver(now, node_id_, *it);
-        eject_q_.push(*it);
-        it = route_set_.erase(it);
-        ++ejected;
-      } else {
-        ++it;
-      }
+  for (int i = 0; i < n && ejected < cfg_.eject_per_cycle;) {
+    const Flit& f = set[i].flit;
+    if (f.dst == pos_ && eject_q_.can_push()) {
+      ++st_delivered_;
+      ++st_delivered_here_;
+      acc_latency_.add(static_cast<double>(now - f.inject_cycle));
+      acc_hops_.add(f.hops);
+      acc_defl_.add(f.deflections);
+      if (f.hops >= kLivelockHops) ++st_livelock_;
+      if (observer_ != nullptr) observer_->on_deliver(now, node_id_, f);
+      eject_q_.push(f);
+      for (int j = i + 1; j < n; ++j) set[j - 1].flit = set[j].flit;
+      --n;
+      ++ejected;
+    } else {
+      ++i;
     }
   }
 
-  // 3. Port assignment, oldest-first (route_set_ is already sorted).
+  // 3. Port assignment, oldest-first (the route set is already ordered).
+  //    A flit takes its first free productive port; failing that it
+  //    deflects to any free port (fixed scan order, or random among the
+  //    free ones).  Productive directions are computed here, once per hop.
   bool port_free[kNumDirs] = {true, true, true, true};
-  Dir assigned[8];  // route_set_.size() <= 4 always; slack for safety
-  int n_assigned = 0;
-  assert(route_set_.size() <= static_cast<std::size_t>(kNumDirs));
-
-  auto pick_port = [&](const Flit& f, bool& productive) -> int {
+  auto assign = [&](Slot& s) {
     Dir prod[4];
-    const int np = geom_.productive_dirs(pos_, f.dst, prod);
-    // Productive first.
-    int first_free_prod = -1;
-    for (int i = 0; i < np; ++i) {
-      if (port_free[static_cast<int>(prod[i])]) {
-        if (first_free_prod < 0) first_free_prod = static_cast<int>(prod[i]);
-        if (!cfg_.random_tie_break) break;
-      }
+    const int np = geom_.productive_dirs(pos_, s.flit.dst, prod);
+    int port = -1;
+    for (int i = 0; i < np && port < 0; ++i) {
+      const int d = static_cast<int>(prod[i]);
+      if (port_free[d]) port = d;
     }
-    if (first_free_prod >= 0) {
-      productive = true;
-      return first_free_prod;
-    }
-    // Deflect: any free port (fixed scan order, or random among free).
-    productive = false;
-    if (cfg_.random_tie_break) {
+    s.productive = port >= 0;
+    if (!s.productive) {
+      ++st_deflections_;
       int free_ports[kNumDirs];
       int nf = 0;
       for (int d = 0; d < kNumDirs; ++d) {
         if (port_free[d]) free_ports[nf++] = d;
       }
-      if (nf == 0) return -1;
-      return free_ports[rng_.next_below(static_cast<std::uint32_t>(nf))];
+      if (nf > 0) {
+        port = cfg_.random_tie_break
+                   ? free_ports[rng_.next_below(static_cast<std::uint32_t>(nf))]
+                   : free_ports[0];
+      }
     }
-    for (int d = 0; d < kNumDirs; ++d) {
-      if (port_free[d]) return d;
-    }
-    return -1;
-  };
-
-  for (const Flit& f : route_set_) {
-    bool productive = false;
-    const int port = pick_port(f, productive);
-    // With |route_set_| <= kNumDirs a free port always exists; if the
-    // invariant is ever broken, fail hard instead of indexing with -1
-    // (asserts vanish under NDEBUG and would leave this as silent UB).
+    // At most kNumDirs flits are ever routed, so a free port always
+    // exists; if that is ever broken, fail hard instead of indexing with
+    // -1 (asserts vanish under NDEBUG and would leave this as silent UB).
     if (port < 0) std::abort();
     port_free[port] = false;
-    assigned[n_assigned++] = static_cast<Dir>(port);
-    if (!productive) ++st_deflections_;
-  }
+    s.port = port;
+  };
+  for (int i = 0; i < n; ++i) assign(set[i]);
 
-  // 4. Injection: one local flit if a port is still free.
-  if (!inject_q_.empty()) {
-    bool any_free = false;
-    for (bool pf : port_free) any_free = any_free || pf;
-    if (any_free) {
-      Flit f = inject_q_.pop();
-      if (q_announced_ > 0) --q_announced_;
-      f.inject_cycle = now;
-      bool productive = false;
-      const int port = pick_port(f, productive);
-      if (port < 0) std::abort();  // a free port was just verified above
-      port_free[port] = false;
-      if (observer_ != nullptr) observer_->on_inject(now, node_id_, f);
-      route_set_.push_back(f);
-      assigned[n_assigned++] = static_cast<Dir>(port);
-      if (!productive) ++st_deflections_;
-      ++st_injected_;
-    }
+  // 4. Injection: one local flit if a port is still free — that is, if
+  //    fewer than kNumDirs flits were routed, which keeps the route set
+  //    within its kNumDirs slots.
+  if (n < kNumDirs && !inject_q_.empty()) {
+    Slot& s = set[n++];
+    s.flit = inject_q_.pop();
+    if (q_announced_ > 0) --q_announced_;
+    s.flit.inject_cycle = now;
+    assign(s);
+    if (observer_ != nullptr) observer_->on_inject(now, node_id_, s.flit);
+    ++st_injected_;
   }
 
   // 5. Emit flits on their assigned links.
-  for (int i = 0; i < n_assigned; ++i) {
-    Flit f = route_set_[static_cast<std::size_t>(i)];
-    f.hops++;
-    Dir prod[4];
-    const int np = geom_.productive_dirs(pos_, f.dst, prod);
-    bool was_productive = false;
-    for (int p = 0; p < np; ++p) was_productive |= (prod[p] == assigned[i]);
-    if (!was_productive) f.deflections++;
+  const std::size_t wr = rd ^ 1;
+  for (int i = 0; i < n; ++i) {
+    Slot& s = set[i];
+    s.flit.hops++;
+    if (!s.productive) s.flit.deflections++;
     if (lifecycle_ != nullptr) {
-      lifecycle_->on_hop(now, node_id_, static_cast<int>(assigned[i]),
-                         !was_productive, f);
+      lifecycle_->on_hop(now, node_id_, s.port, !s.productive, s.flit);
     }
     // Hot potato has no back-pressure: the entry read next cycle must be
     // free, or a flit would be overwritten (see Link).
-    Link* link = out_[static_cast<int>(assigned[i])];
-    const std::size_t wr = rd ^ 1;
+    Link* link = out_[static_cast<std::size_t>(s.port)];
     if (link->full[wr]) std::abort();
-    link->flit[wr] = f;
+    link->flit[wr] = s.flit;
     link->full[wr] = true;
     if (!link->seam) scheduler().wake_at(*link->consumer, now + 1);
   }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <vector>
 
 #include "noc/coord.h"
 #include "noc/flit.h"
@@ -28,6 +27,14 @@
 ///  3. assigns remaining flits to output ports oldest-first, preferring
 ///     productive directions, deflecting losers to any free port,
 ///  4. injects at most one local flit if an output port is still free.
+///
+/// The per-cycle working set is bounded by the hardware: one flit per
+/// input link, and an injection only while a port is still free, so at
+/// most kNumDirs flits.  tick() therefore keeps its route set in a fixed
+/// array on the stack, ordered oldest-first by insertion as flits come
+/// off the links (no sort, no allocation), and computes each flit's
+/// productive directions once per hop, at port assignment; emission
+/// reuses that verdict to count deflections.
 
 namespace medea::noc {
 
@@ -110,11 +117,14 @@ class DeflectionRouter : public sim::Component {
   void tick(sim::Cycle now) override;
 
  private:
+  // Tick-hot state first: links, position, config, RNG, observers and
+  // stat handles sit together at the front of the object.
+  std::array<Link*, kNumDirs> in_{};
+  std::array<Link*, kNumDirs> out_{};
   const TorusGeometry& geom_;
   Coord pos_;
   int node_id_;
   RouterConfig cfg_;
-  sim::StatSet& stats_;
   sim::Xoshiro256 rng_;
   FlitObserver* observer_ = nullptr;
   FlitObserver* lifecycle_ = nullptr;  ///< observer_ iff it wants hop events
@@ -133,13 +143,8 @@ class DeflectionRouter : public sim::Component {
   sim::Accumulator& acc_hops_;
   sim::Accumulator& acc_defl_;
 
-  std::array<Link*, kNumDirs> in_{};
-  std::array<Link*, kNumDirs> out_{};
   sim::Fifo<Flit> inject_q_;
   sim::Fifo<Flit> eject_q_;
-
-  // scratch, kept as members to avoid per-tick allocation
-  std::vector<Flit> route_set_;
 };
 
 }  // namespace medea::noc

@@ -1,6 +1,8 @@
 #include "workload/saturation.h"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace medea::workload {
 
@@ -32,6 +34,14 @@ SaturationCurve sweep_load(const LoadSweepSpec& spec) {
   const std::vector<double> loads = load_points(spec);
   if (loads.empty()) {
     throw std::invalid_argument("load sweep: no load points to run");
+  }
+  // Check every point before running any, so a bad entry late in the
+  // list cannot fail the sweep after the earlier points have run.
+  for (const double load : loads) {
+    if (!std::isfinite(load) || load <= 0.0 || load > 1.0) {
+      throw std::invalid_argument("load sweep: load " + std::to_string(load) +
+                                  " is outside (0, 1] (flits/node/cycle)");
+    }
   }
 
   SaturationCurve curve;

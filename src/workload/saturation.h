@@ -66,8 +66,9 @@ struct SaturationCurve {
 /// The load points a spec will run (explicit list, or the ramp).
 std::vector<double> load_points(const LoadSweepSpec& spec);
 
-/// Run the sweep.  Throws std::invalid_argument when spec.workload is
-/// not a synthetic pattern or the ramp is empty/ill-formed.
+/// Run the sweep.  Throws std::invalid_argument, before any point runs,
+/// when spec.workload is not a synthetic pattern, the ramp is
+/// empty/ill-formed, or a load is not a finite rate in (0, 1].
 SaturationCurve sweep_load(const LoadSweepSpec& spec);
 
 }  // namespace medea::workload

@@ -1,5 +1,6 @@
 #include "workload/workload.h"
 
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -120,6 +121,24 @@ void validate_request(const RunRequest& req, const Workload& w) {
           "synthetic.flits_per_node must be in [0, " +
           std::to_string(noc::kMaxFlitUidSeq) +
           "] (the per-node flit uid sequence space)");
+    }
+    // A NaN rate passes every range check downstream (both comparisons
+    // are false), and a zero rate never spends a positive budget: the
+    // run would idle out to its cycle limit and report success.
+    if (req.synthetic.has_value()) {
+      const double rate = req.synthetic->injection_rate;
+      if (!std::isfinite(rate)) {
+        throw std::invalid_argument(
+            "synthetic.injection_rate must be a finite number, got " +
+            std::to_string(rate));
+      }
+      if (rate == 0.0 && !req.measurement.phased &&
+          req.synthetic->flits_per_node > 0) {
+        throw std::invalid_argument(
+            "synthetic.injection_rate is 0, so the flits_per_node budget "
+            "is never injected and the run cannot finish; use a rate in "
+            "(0, 1]");
+      }
     }
     // A hotspot outside the fabric addresses no router: its flits are
     // never ejected and a budgeted run never drains.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -372,6 +373,48 @@ TEST(FlitUidSpace, HotspotOutsideTheFabricIsRejected) {
   }
   req.synthetic->hotspot_node = 15;
   EXPECT_NO_THROW(workload::run_by_name("hotspot", req));
+}
+
+TEST(SyntheticRate, NonFiniteRateIsRejectedNamingTheField) {
+  // NaN fails both comparisons of the injection process's [0, 1] range
+  // check, so it used to slip through and inject nothing.
+  workload::RunRequest req;
+  req.synthetic = workload::SyntheticParams{};
+  req.synthetic->flits_per_node = 2;
+  for (const double rate : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    req.synthetic->injection_rate = rate;
+    try {
+      workload::run_by_name("uniform", req);
+      FAIL() << "rate " << rate << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("injection_rate"), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST(SyntheticRate, ZeroRateIsRejectedOnlyWhenABudgetMustBeSpent) {
+  // A budgeted run at rate 0 never injects, so it used to idle out to
+  // the cycle limit and report success with nothing delivered.
+  const workload::Workload& uniform =
+      workload::WorkloadRegistry::instance().at("uniform");
+  workload::RunRequest req;
+  req.synthetic = workload::SyntheticParams{};
+  req.synthetic->injection_rate = 0.0;
+  req.synthetic->flits_per_node = 10;
+  try {
+    workload::validate_request(req, uniform);
+    FAIL() << "rate 0 with a positive budget must be rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("injection_rate"), std::string::npos) << msg;
+  }
+  // Nothing to spend, or a phased run bounded by its own phases: fine.
+  req.synthetic->flits_per_node = 0;
+  EXPECT_NO_THROW(workload::validate_request(req, uniform));
+  req.synthetic->flits_per_node = 10;
+  req.measurement.phased = true;
+  EXPECT_NO_THROW(workload::validate_request(req, uniform));
 }
 
 TEST(FlitUidSpaceDeathTest, WrappingStreamAbortsInEveryBuildMode) {

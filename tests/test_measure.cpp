@@ -281,6 +281,34 @@ TEST(LoadSweep, RejectsNonSyntheticWorkloads) {
   }
 }
 
+TEST(LoadSweep, BadLoadListFailsBeforeAnyPointRuns) {
+  workload::LoadSweepSpec spec;
+  spec.workload = "uniform";
+  for (const double bad : {-0.5, 0.0, 1.5, std::nan(""), HUGE_VAL}) {
+    spec.loads = {0.1, bad};
+    try {
+      workload::sweep_load(spec);
+      FAIL() << "load " << bad << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("outside (0, 1]"), std::string::npos) << msg;
+    }
+  }
+  // The first point is one that fails when it runs (an on-off rate its
+  // burst parameters cannot reach): the list check must report the bad
+  // second load first, proving no point ran before it.
+  spec.base.synthetic = workload::SyntheticParams{};
+  spec.base.synthetic->process.kind = noc::InjectionKind::kOnOff;
+  spec.loads = {0.5, -0.1};
+  try {
+    workload::sweep_load(spec);
+    FAIL() << "load -0.1 must be rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("load sweep: load -0.1"), std::string::npos) << msg;
+  }
+}
+
 TEST(LoadSweep, HotspotSaturatesAtTheEjectBandwidthCap) {
   // All 16 nodes target one hotspot whose eject port drains 1
   // flit/cycle: aggregate accepted throughput is capped near 1/16

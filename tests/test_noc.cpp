@@ -156,19 +156,30 @@ TEST(Torus, AxisOutsideCoordRangeThrowsInEveryBuildMode) {
 }
 
 TEST(Torus, ProductiveDirsReduceDistance) {
-  TorusGeometry g(4, 4);
-  for (int a = 0; a < 16; ++a) {
-    for (int b = 0; b < 16; ++b) {
-      if (a == b) continue;
-      const Coord ca = g.coord_of(a);
-      const Coord cb = g.coord_of(b);
-      Dir dirs[4];
-      const int n = g.productive_dirs(ca, cb, dirs);
-      ASSERT_GE(n, 1);
-      for (int i = 0; i < n; ++i) {
-        EXPECT_EQ(g.distance(g.neighbor(ca, dirs[i]), cb),
-                  g.distance(ca, cb) - 1)
-            << "from " << ca.to_string() << " to " << cb.to_string();
+  // Every (from, to) pair on every torus from 1x1 to 9x8: odd and even
+  // axes, and the 1- and 2-wide rings whose neighbours coincide.  The
+  // listed set must be exactly the directions whose hop shortens
+  // distance(), in the fixed order E, W, S, N.
+  constexpr Dir kOrder[] = {Dir::kEast, Dir::kWest, Dir::kSouth, Dir::kNorth};
+  for (int w = 1; w <= 9; ++w) {
+    for (int h = 1; h <= 8; ++h) {
+      const TorusGeometry g(w, h);
+      for (int a = 0; a < g.num_nodes(); ++a) {
+        for (int b = 0; b < g.num_nodes(); ++b) {
+          const Coord from = g.coord_of(a);
+          const Coord to = g.coord_of(b);
+          std::vector<Dir> want;
+          for (const Dir d : kOrder) {
+            if (g.distance(g.neighbor(from, d), to) < g.distance(from, to)) {
+              want.push_back(d);
+            }
+          }
+          Dir out[4];
+          const int n = g.productive_dirs(from, to, out);
+          ASSERT_EQ(std::vector<Dir>(out, out + n), want)
+              << w << "x" << h << " torus, from " << from.to_string()
+              << " to " << to.to_string();
+        }
       }
     }
   }

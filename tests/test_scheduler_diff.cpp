@@ -174,6 +174,52 @@ TEST(SchedulerDiff, SaturatedDeflectionTrafficIsBitIdentical) {
   check_workload_identical("uniform", req);
 }
 
+/// FNV-1a over the raw delivery log, (cycle, node, uid) per flit in
+/// dispatch order, then the run's cycle count.
+std::uint64_t delivery_digest(const KernelRun& run) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& [cycle, node, uid] : run.log.v) {
+    mix(cycle, 8);
+    mix(static_cast<std::uint32_t>(node), 4);
+    mix(uid, 4);
+  }
+  mix(run.r.cycles, 8);
+  return h;
+}
+
+TEST(RouterGolden, NonDefaultConfigDeliveryDigestIsPinned) {
+  // The kernels are only compared with each other above, and the
+  // benchmark's golden outputs cover the default router (fixed port
+  // scan, one ejection per cycle).  This pins the other router paths —
+  // per-router RNG tie-breaks and two ejections per cycle — to a digest
+  // of the full delivery log, so a router rewrite that changes any
+  // delivery cycle, node or order fails here even if every kernel
+  // agrees with the others.
+  workload::RunRequest req = tiny_req(calendar_cfg(), "uniform");
+  req.machine.noc_width = 8;
+  req.machine.noc_height = 8;
+  req.machine.router.random_tie_break = true;
+  req.machine.router.eject_per_cycle = 2;
+  req.synthetic->injection_rate = 0.4;
+  req.synthetic->flits_per_node = 100;
+  req.seed = 11;
+  constexpr std::uint64_t kPinned = 0x285cd6e88337e6e6ull;
+  for (const SchedulerConfig& cfg : {calendar_cfg(), sharded_cfg(2)}) {
+    const KernelRun run = run_kernel("uniform", req, cfg);
+    ASSERT_EQ(run.r.flits_delivered, 64u * 100u);
+    EXPECT_EQ(run.r.cycles, 311u);
+    EXPECT_EQ(delivery_digest(run), kPinned)
+        << "cycles " << run.r.cycles << ", digest 0x" << std::hex
+        << delivery_digest(run);
+  }
+}
+
 TEST(SchedulerDiff, XyFabricIsBitIdentical) {
   workload::RunRequest req = tiny_req(calendar_cfg(), "transpose");
   req.synthetic->network = "xy";
