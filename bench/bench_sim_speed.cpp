@@ -25,8 +25,10 @@ using namespace medea;
 
 namespace {
 
-bench::Measurement design_point(const bench::RunOptions& opt, int cores,
-                                std::uint32_t kb) {
+bench::Measurement design_point(
+    const bench::RunOptions& opt, int cores, std::uint32_t kb,
+    mem::WritePolicy policy = mem::WritePolicy::kWriteBack) {
+  const bool wt = policy == mem::WritePolicy::kWriteThrough;
   double wall_per_point_ns = 0.0;
   // Kernel pressure counters from the last timed invocation (the run is
   // deterministic, so every invocation produces the same values).
@@ -39,13 +41,12 @@ bench::Measurement design_point(const bench::RunOptions& opt, int cores,
   std::uint64_t frame_misses = 0;
   auto m = bench::run_case(
       "jacobi_60x60/" + std::to_string(cores) + "c_" + std::to_string(kb) +
-          "kB",
+          "kB" + (wt ? "_WT" : ""),
       "cores=" + std::to_string(cores) + " l1_kb=" + std::to_string(kb) +
-          " policy=WB variant=hybrid_mp n=60",
+          " policy=" + (wt ? "WT" : "WB") + " variant=hybrid_mp n=60",
       opt, [&] {
         const sim::FramePool::Stats fp0 = sim::FramePool::tls().stats();
-        core::MedeaSystem sys(
-            dse::make_design_config(cores, kb, mem::WritePolicy::kWriteBack));
+        core::MedeaSystem sys(dse::make_design_config(cores, kb, policy));
         apps::JacobiParams p;
         p.n = 60;
         p.variant = apps::JacobiVariant::kHybridMp;
@@ -177,6 +178,10 @@ int main(int argc, char** argv) {
     report.add(design_point(report.options(), 2, 2));    // worst: miss-bound
     report.add(design_point(report.options(), 8, 16));   // mid
     report.add(design_point(report.options(), 15, 64));  // best: compute-bound
+    // Write-through: every store crosses the bridge to the MPMMU, so this
+    // point times the PE write-buffer path rather than the L1.
+    report.add(design_point(report.options(), 15, 16,
+                            mem::WritePolicy::kWriteThrough));
   }
   // The 15-core fabric (4x4 torus) and the paper's 60x60 scale: the
   // small fabric shows the overhead floor, the big one the speedup.

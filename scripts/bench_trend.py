@@ -193,27 +193,33 @@ def main():
     header = f"{'case':<44} " + " ".join(
         f"{Path(label).name[:14]:>14}" for label, _ in runs) + f" {'delta':>8}"
     print(header)
-    worst = 0.0
-    for key in keys:
+
+    def speed_cells(key):
         cells = []
         for _, cases in runs:
             c = cases.get(key)
             cells.append(f"{fmt_speed(c.get('sim_speed')):>14}" if c
                          else f"{'-':>14}")
+        return " ".join(cells)
+
+    worst = 0.0
+    for key in keys:
         base = first[key].get("sim_speed", 0.0)
         cur = last[key].get("sim_speed", 0.0)
         delta = (cur - base) / base * 100.0 if base > 0 else 0.0
         worst = min(worst, delta)
         bench, name = key
-        print(f"{bench + '/' + name:<44} " + " ".join(cells) +
-              f" {delta:+7.1f}%")
+        print(f"{bench + '/' + name:<44} {speed_cells(key)} {delta:+7.1f}%")
 
+    # Cases missing from the first or the last run still get their row
+    # (a new bench case has no earlier artifact to diff against), but no
+    # delta and no say in the regression gate.
     only_first = sorted(set(first) - set(last))
     only_last = sorted(set(last) - set(first))
     for key in only_first:
-        print(f"{key[0] + '/' + key[1]:<44} (dropped after {first_label})")
+        print(f"{key[0] + '/' + key[1]:<44} {speed_cells(key)} {'dropped':>8}")
     for key in only_last:
-        print(f"{key[0] + '/' + key[1]:<44} (new in {last_label})")
+        print(f"{key[0] + '/' + key[1]:<44} {speed_cells(key)} {'new':>8}")
 
     print_metric_trend(runs, first, last, keys, "p99",
                        "p99 latency (cycles)")

@@ -1,6 +1,8 @@
 #include "mem/cache.h"
 
 #include <cassert>
+#include <new>
+#include <span>
 
 namespace medea::mem {
 
@@ -10,7 +12,9 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   assert(cfg_.ways >= 1 && cfg_.num_lines() % cfg_.ways == 0);
   assert((cfg_.num_sets() & (cfg_.num_sets() - 1)) == 0 &&
          "number of sets must be a power of two");
-  lines_.resize(cfg_.num_lines());
+  lines_.reset(
+      static_cast<Line*>(std::calloc(cfg_.num_lines(), sizeof(Line))));
+  if (!lines_) throw std::bad_alloc();
 }
 
 const Cache::Line* Cache::find(Addr addr) const {
@@ -128,7 +132,7 @@ void Cache::invalidate_line(Addr addr) {
 
 std::vector<Writeback> Cache::flush_all() {
   std::vector<Writeback> out;
-  for (Line& l : lines_) {
+  for (Line& l : std::span(lines_.get(), cfg_.num_lines())) {
     if (l.valid && l.dirty) {
       out.push_back(Writeback{l.tag, l.data});
       l.dirty = false;
@@ -138,7 +142,7 @@ std::vector<Writeback> Cache::flush_all() {
 }
 
 void Cache::invalidate_all() {
-  for (Line& l : lines_) {
+  for (Line& l : std::span(lines_.get(), cfg_.num_lines())) {
     l.valid = false;
     l.dirty = false;
   }

@@ -61,11 +61,11 @@ void Mpmmu::drain_network(sim::Cycle now) {
     if (head.subtype == FlitSubType::kData) {
       if (!data_q_.can_push()) break;
       data_q_.push(eject.pop());
-      stats_.inc("mpmmu.data_flits_in");
+      st_data_flits_in_.inc();
     } else if (head.subtype == FlitSubType::kAddress) {
       if (!req_q_.can_push()) break;  // cannot happen: depth == #cores
       req_q_.push(eject.pop());
-      stats_.inc("mpmmu.requests_in");
+      st_requests_in_.inc();
     } else {
       throw std::runtime_error("MPMMU received unexpected flit: " +
                                head.to_string());
@@ -147,7 +147,7 @@ void Mpmmu::start_transaction(sim::Cycle now) {
   cur_.type = req.type;
   cur_.src = req.src_id;
   cur_.addr = req.data;
-  stats_.inc("mpmmu.transactions");
+  st_transactions_.inc();
 
   switch (req.type) {
     case FlitType::kSingleRead:
@@ -263,7 +263,7 @@ void Mpmmu::push_reply(sim::Cycle now) {
   if (!inject.can_push()) return;  // producer hook re-wakes us
   inject.push(reply_q_.front());
   reply_q_.pop_front();
-  stats_.inc("mpmmu.reply_flits_out");
+  st_reply_flits_out_.inc();
 }
 
 void Mpmmu::tick(sim::Cycle now) {
@@ -288,11 +288,22 @@ void Mpmmu::tick(sim::Cycle now) {
       // Consume one payload word per cycle from Pif-Data (Fig. 2 timing).
       if (!data_q_.empty()) {
         const Flit f = data_q_.pop();
-        assert(f.src_id == cur_.src &&
-               "request/data protocol admits one write payload at a time");
-        assert(f.seq_num < cur_.words_expected);
+        // The request/data protocol admits one write payload at a time.
+        if (f.src_id != cur_.src) {
+          throw std::runtime_error("MPMMU write payload from wrong core: " +
+                                   f.to_string());
+        }
+        if (f.seq_num >= cur_.words_expected) {
+          throw std::runtime_error("MPMMU write payload SEQNUM out of range: " +
+                                   f.to_string());
+        }
+        const std::uint32_t bit = 1u << f.seq_num;
+        if ((cur_.received_mask & bit) != 0) {
+          throw std::runtime_error("duplicate MPMMU write payload: " +
+                                   f.to_string());
+        }
         cur_.data[f.seq_num] = f.data;
-        cur_.received_mask |= 1u << f.seq_num;
+        cur_.received_mask |= bit;
         const std::uint32_t all =
             (1u << cur_.words_expected) - 1;
         if (cur_.received_mask == all) {

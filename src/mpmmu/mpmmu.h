@@ -140,6 +140,11 @@ class Mpmmu : public sim::Component {
   std::map<mem::Addr, LockEntry> locks_;
 
   sim::StatSet stats_;
+  // Per-event counters, resolved on first use (see sim::LazyStat).
+  sim::LazyStat st_requests_in_{stats_, "mpmmu.requests_in"};
+  sim::LazyStat st_data_flits_in_{stats_, "mpmmu.data_flits_in"};
+  sim::LazyStat st_reply_flits_out_{stats_, "mpmmu.reply_flits_out"};
+  sim::LazyStat st_transactions_{stats_, "mpmmu.transactions"};
 };
 
 }  // namespace medea::mpmmu

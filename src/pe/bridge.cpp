@@ -11,8 +11,15 @@ using noc::FlitType;
 
 Pif2NocBridge::Pif2NocBridge(noc::Network& net, int self_id, int mpmmu_id,
                              const BridgeConfig& cfg, sim::StatSet& stats)
-    : net_(net), self_id_(self_id), mpmmu_id_(mpmmu_id), cfg_(cfg),
-      stats_(stats) {}
+    : net_(net),
+      self_id_(self_id),
+      mpmmu_id_(mpmmu_id),
+      cfg_(cfg),
+      st_transactions_(stats, "bridge.transactions"),
+      st_req_flits_(stats, "bridge.req_flits"),
+      st_data_flits_out_(stats, "bridge.data_flits_out"),
+      st_data_flits_in_(stats, "bridge.data_flits_in"),
+      st_completions_(stats, "bridge.completions") {}
 
 Flit Pif2NocBridge::make_flit(FlitSubType sub, std::uint8_t seq,
                               std::uint8_t burst, std::uint32_t data) const {
@@ -35,7 +42,7 @@ Flit Pif2NocBridge::make_flit(FlitSubType sub, std::uint8_t seq,
 std::uint64_t Pif2NocBridge::enqueue(Tx tx) {
   assert(can_enqueue());
   if (tx.id == 0) tx.id = next_id_++;  // callers may pre-assign ids
-  stats_.inc("bridge.transactions");
+  st_transactions_.inc();
   queue_.push_back(tx);
   return tx.id;
 }
@@ -61,7 +68,7 @@ void Pif2NocBridge::step_tx(std::deque<noc::Flit>& out) {
   switch (state_) {
     case State::kSendReq: {
       out.push_back(make_flit(FlitSubType::kAddress, 0, 0, cur_->addr));
-      stats_.inc("bridge.req_flits");
+      st_req_flits_.inc();
       switch (cur_->type) {
         case FlitType::kSingleRead:
         case FlitType::kBlockRead:
@@ -86,7 +93,7 @@ void Pif2NocBridge::step_tx(std::deque<noc::Flit>& out) {
                               static_cast<std::uint8_t>(data_sent_),
                               static_cast<std::uint8_t>(cur_->words - 1),
                               cur_->data[i]));
-      stats_.inc("bridge.data_flits_out");
+      st_data_flits_out_.inc();
       if (++data_sent_ == cur_->words) state_ = State::kWaitAck;
       break;
     }
@@ -117,13 +124,19 @@ void Pif2NocBridge::rx(const Flit& f) {
         throw std::runtime_error("unexpected Data flit in bridge state");
       }
       // Reorder buffer: out-of-order block-read flits land by SEQNUM.
-      assert(f.seq_num < mem::kWordsPerLine);
-      assert((rx_mask_ & (1u << f.seq_num)) == 0);
-      reorder_[f.seq_num] = f.data;
-      rx_mask_ |= 1u << f.seq_num;
-      stats_.inc("bridge.data_flits_in");
       const int expected =
           cur_->type == FlitType::kBlockRead ? mem::kWordsPerLine : 1;
+      if (f.seq_num >= expected) {
+        throw std::runtime_error("Data flit SEQNUM out of range: " +
+                                 f.to_string());
+      }
+      const std::uint32_t bit = 1u << f.seq_num;
+      if ((rx_mask_ & bit) != 0) {
+        throw std::runtime_error("duplicate Data flit: " + f.to_string());
+      }
+      reorder_[f.seq_num] = f.data;
+      rx_mask_ |= bit;
+      st_data_flits_in_.inc();
       if (rx_mask_ == (1u << expected) - 1) complete_current();
       break;
     }
@@ -148,7 +161,7 @@ void Pif2NocBridge::complete_current() {
                                                    : 0;
   completion_ = c;
   cur_.reset();
-  stats_.inc("bridge.completions");
+  st_completions_.inc();
 }
 
 }  // namespace medea::pe

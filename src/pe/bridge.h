@@ -114,7 +114,12 @@ class Pif2NocBridge {
   int self_id_;
   int mpmmu_id_;  // the address-map LUT of the paper, hardwired single node
   BridgeConfig cfg_;
-  sim::StatSet& stats_;
+  // Per-event counters, resolved on first use (see sim::LazyStat).
+  sim::LazyStat st_transactions_;
+  sim::LazyStat st_req_flits_;
+  sim::LazyStat st_data_flits_out_;
+  sim::LazyStat st_data_flits_in_;
+  sim::LazyStat st_completions_;
 
   std::deque<Tx> queue_;
   std::optional<Tx> cur_;

@@ -32,17 +32,16 @@ ProcessingElement::ProcessingElement(sim::Scheduler& sched, noc::Network& net,
       arbiter_(cfg.arbiter, stats_) {
   net_.eject(node_id_).set_consumer(this);
   net_.inject(node_id_).set_producer(this);
-  scratch_.assign(map.scratchpad_size() / mem::kWordBytes, 0);
 }
 
 std::uint32_t ProcessingElement::scratch_read_word(mem::Addr a) const {
   assert(map_.is_scratchpad(a));
-  return scratch_[(a - map_.scratchpad_base()) / mem::kWordBytes];
+  return scratch_.read_word(a);
 }
 
 void ProcessingElement::scratch_write_word(mem::Addr a, std::uint32_t v) {
   assert(map_.is_scratchpad(a));
-  scratch_[(a - map_.scratchpad_base()) / mem::kWordBytes] = v;
+  scratch_.write_word(a, v);
 }
 
 double ProcessingElement::scratch_read_double(mem::Addr a) const {
@@ -253,7 +252,7 @@ void ProcessingElement::start_timer(sim::Cycle now, std::uint32_t cycles) {
 void ProcessingElement::complete_op(sim::Cycle now) {
   (void)now;
   phase_ = Phase::kNone;
-  stats_.inc("pe.ops_retired");
+  st_ops_retired_.inc();
   auto h = op_waiter_;
   op_waiter_ = nullptr;
   h.resume();  // may re-enter submit()
@@ -277,19 +276,35 @@ void ProcessingElement::begin_fill(Addr line_addr) {
   stats_.inc("pe.fills_requested");
 }
 
+std::size_t ProcessingElement::store_words() const {
+  return cur_op_.kind == Op::Kind::kStoreDouble ||
+                 cur_op_.kind == Op::Kind::kStoreDoubleUncached
+             ? 2
+             : 1;
+}
+
+bool ProcessingElement::store_fits() const {
+  return fire_forget_.size() + store_words() <= kWriteBufferDepth;
+}
+
 /// Issue the fire-and-forget store words of the current WT/uncached store
 /// op, or park in kAwaitQueueSpace when the write buffer is full.
+///
+/// Every failed poll counts one pe.write_buffer_stalls.  A parked core
+/// sleeps instead of polling (see tick()), and each cycle it slept is one
+/// it would have polled and failed — the buffer only drains when a reply
+/// lands, which wakes it — so a retry first credits those cycles.
 void ProcessingElement::try_issue_stores(sim::Cycle now) {
-  const int n =
-      (cur_op_.kind == Op::Kind::kStoreDouble ||
-       cur_op_.kind == Op::Kind::kStoreDoubleUncached)
-          ? 2
-          : 1;
-  if (fire_forget_.size() + static_cast<std::size_t>(n) > kWriteBufferDepth) {
+  if (phase_ == Phase::kAwaitQueueSpace && now > last_stall_poll_ + 1) {
+    st_write_buffer_stalls_.inc(now - last_stall_poll_ - 1);
+  }
+  if (!store_fits()) {
     phase_ = Phase::kAwaitQueueSpace;
-    stats_.inc("pe.write_buffer_stalls");
+    last_stall_poll_ = now;
+    st_write_buffer_stalls_.inc();
     return;
   }
+  const auto n = static_cast<int>(store_words());
   for (int i = 0; i < n; ++i) {
     Pif2NocBridge::Tx tx;
     tx.type = FlitType::kSingleWrite;
@@ -385,7 +400,7 @@ void ProcessingElement::issue_uncached_read(Addr a) {
 }
 
 void ProcessingElement::start_op(sim::Cycle now) {
-  stats_.inc("pe.ops_started");
+  st_ops_started_.inc();
   switch (cur_op_.kind) {
     case Op::Kind::kCompute:
       start_timer(now, cur_op_.cycles);
@@ -516,7 +531,7 @@ void ProcessingElement::start_op(sim::Cycle now) {
         phase_ = Phase::kAwaitSendDrain;
       } else {
         phase_ = Phase::kAwaitCredit;
-        stats_.inc("pe.mp_credit_stalls");
+        st_mp_credit_stalls_.inc();
       }
       break;
 
@@ -556,7 +571,7 @@ void ProcessingElement::advance_mp_send_block(sim::Cycle now) {
     if (!cur_op_.words.empty()) {
       if (!tie_.can_send(cur_op_.peer)) {
         phase_ = Phase::kAwaitCredit;
-        stats_.inc("pe.mp_credit_stalls");
+        st_mp_credit_stalls_.inc();
         return;
       }
       tie_.start_send(cur_op_.peer, cur_op_.words.data(),
@@ -779,14 +794,26 @@ void ProcessingElement::tick(sim::Cycle now) {
   arbiter_.step(net_.inject(node_id_), tie_out_, bridge_out_);
 
   // ---- wake management ----
-  const bool engines_busy = !fire_forget_.empty() || bridge_.busy_streaming() ||
-                            !tie_.tx_queue().empty() || !tie_out_.empty() ||
-                            !bridge_out_.empty() || arbiter_.busy();
+  // Re-arm for now+1 only when the next tick can change state without a
+  // new flit arriving.  A victim-buffer entry waiting on a full bridge
+  // queue is not such work: the feed loop above already ran, so the
+  // queue frees only when the bridge's current transaction completes,
+  // and that takes a Grant, Data or Ack reply — whose arrival wakes us
+  // through the eject FIFO's consumer hook.  Likewise a store parked on
+  // a full write buffer (kAwaitQueueSpace) re-polls only once it fits;
+  // try_issue_stores credits the stall cycles slept through.
+  const bool engines_busy =
+      (!fire_forget_.empty() && bridge_.can_enqueue()) ||
+      bridge_.busy_streaming() || !tie_.tx_queue().empty() ||
+      !tie_out_.empty() || !bridge_out_.empty() || arbiter_.busy();
   // kAwaitCredit is deliberately absent: credits arrive as flits and the
-  // eject FIFO wakes us, so polling would only burn kernel cycles.
-  const bool op_polling = phase_ == Phase::kAwaitSendDrain ||
-                          phase_ == Phase::kAwaitFence ||
-                          phase_ == Phase::kAwaitQueueSpace;
+  // eject FIFO wakes us, so polling would only burn kernel cycles.  The
+  // send-drain and fence waits (and the TIE/bridge/arbiter registers
+  // above) still poll: the mux arbiter counts a stall per cycle it finds
+  // the inject FIFO full, so parking them would need the same crediting.
+  const bool op_polling =
+      phase_ == Phase::kAwaitSendDrain || phase_ == Phase::kAwaitFence ||
+      (phase_ == Phase::kAwaitQueueSpace && store_fits());
   if (phase_ == Phase::kTimed && done_at_ > now) {
     scheduler().wake_at(*this, done_at_);
   }

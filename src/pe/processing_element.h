@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "mem/backing_store.h"
 #include "mem/cache.h"
 #include "mem/memory_map.h"
 #include "noc/network.h"
@@ -188,15 +189,20 @@ class ProcessingElement : public sim::Component {
   OpResult take_result() { return std::move(result_); }
 
  private:
+  // How each phase is woken (see the wake management in tick()):
+  // timer-driven (kTimed), reply-driven — the eject FIFO's consumer hook
+  // wakes the core when a flit lands — or polled every cycle.
   enum class Phase : std::uint8_t {
     kNone,
-    kTimed,           // completes at done_at_
-    kAwaitTx,         // waiting for bridge transaction waiting_tx_
-    kAwaitQueueSpace, // waiting for a bridge queue slot to issue
-    kAwaitCredit,     // MP send blocked on flow-control credit
-    kAwaitSendDrain,  // MP send streaming flits out of the TIE port
-    kAwaitPacket,     // MP receive blocked on packet arrival
-    kAwaitFence,      // waiting for the bridge to drain
+    kTimed,           // completes at done_at_ (timer)
+    kAwaitTx,         // waiting for bridge transaction waiting_tx_ (reply)
+    kAwaitQueueSpace, // store waiting for write-buffer space (reply; polls
+                      // only once the store fits, and credits the stall
+                      // cycles it slept through on each retry)
+    kAwaitCredit,     // MP send blocked on flow-control credit (reply)
+    kAwaitSendDrain,  // MP send streaming flits out of the TIE port (polled)
+    kAwaitPacket,     // MP receive blocked on packet arrival (reply)
+    kAwaitFence,      // waiting for the bridge to drain (polled)
   };
 
   // Op engine helpers.
@@ -210,6 +216,8 @@ class ProcessingElement : public sim::Component {
   void begin_fill(mem::Addr line_addr);
   void queue_fire_forget(Pif2NocBridge::Tx tx);
   void try_issue_stores(sim::Cycle now);
+  std::size_t store_words() const;  // write-buffer entries the store takes
+  bool store_fits() const;          // ...and whether they are free now
   void issue_uncached_read(mem::Addr a);
   void on_bridge_completion(const Pif2NocBridge::Completion& c,
                             sim::Cycle now);
@@ -228,6 +236,11 @@ class ProcessingElement : public sim::Component {
 
   mem::Cache cache_;
   sim::StatSet stats_;
+  // Per-op counters, resolved on first use (see sim::LazyStat).
+  sim::LazyStat st_ops_started_{stats_, "pe.ops_started"};
+  sim::LazyStat st_ops_retired_{stats_, "pe.ops_retired"};
+  sim::LazyStat st_write_buffer_stalls_{stats_, "pe.write_buffer_stalls"};
+  sim::LazyStat st_mp_credit_stalls_{stats_, "pe.mp_credit_stalls"};
   TieInterface tie_;
   Pif2NocBridge bridge_;
   NocArbiter arbiter_;
@@ -252,10 +265,14 @@ class ProcessingElement : public sim::Component {
   std::uint64_t next_tx_id_ = 1;
   mem::Addr pending_fill_addr_ = 0;
   int op_step_ = 0;  // sub-step for multi-transaction ops
+  sim::Cycle last_stall_poll_ = 0;  // cycle of the last failed store issue
   OpResult result_{};
 
   // Core-local data RAM (single-cycle, never cached, never on the NoC).
-  std::vector<std::uint32_t> scratch_;
+  // Sparse like DDR: programs touch a few pages of it (128 kB by
+  // default), and a zero-filled array per core would dominate a 15-core
+  // system's resident memory.
+  mem::BackingStore scratch_;
 };
 
 inline void OpAwaiter::await_suspend(std::coroutine_handle<> h) {

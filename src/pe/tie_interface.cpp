@@ -9,7 +9,14 @@ using noc::FlitSubType;
 using noc::FlitType;
 
 TieInterface::TieInterface(noc::Network& net, int self_id, sim::StatSet& stats)
-    : net_(net), self_id_(self_id), stats_(stats) {}
+    : net_(net),
+      self_id_(self_id),
+      st_packets_sent_(stats, "tie.packets_sent"),
+      st_flits_sent_(stats, "tie.flits_sent"),
+      st_credits_returned_(stats, "tie.credits_returned"),
+      st_flits_received_(stats, "tie.flits_received"),
+      st_packets_received_(stats, "tie.packets_received"),
+      st_packets_consumed_(stats, "tie.packets_consumed") {}
 
 Flit TieInterface::make_flit(int dst_id, FlitSubType sub, std::uint8_t seq,
                              std::uint8_t burst, std::uint32_t data) const {
@@ -49,8 +56,8 @@ void TieInterface::start_send(int dst_id, const std::uint32_t* words, int n) {
                               words[i]));
   }
   send_pending_ += n;
-  stats_.inc("tie.packets_sent");
-  stats_.inc("tie.flits_sent", static_cast<std::uint64_t>(n));
+  st_packets_sent_.inc();
+  st_flits_sent_.inc(static_cast<std::uint64_t>(n));
 }
 
 void TieInterface::on_tx_departure(const Flit& f) {
@@ -64,7 +71,7 @@ bool TieInterface::on_rx_flit(const Flit& f) {
     auto [it, inserted] = credits_.try_emplace(f.src_id, kCreditsPerPeer);
     if (!inserted) it->second += 1;
     assert(it->second <= kCreditsPerPeer);
-    stats_.inc("tie.credits_returned");
+    st_credits_returned_.inc();
     return false;
   }
   assert(f.subtype == noc::kMpData);
@@ -76,9 +83,9 @@ bool TieInterface::on_rx_flit(const Flit& f) {
   assert((slot.mask & (1u << offset)) == 0 && "duplicate flit delivery");
   slot.words[static_cast<std::size_t>(offset)] = f.data;
   slot.mask |= 1u << offset;
-  stats_.inc("tie.flits_received");
+  st_flits_received_.inc();
   if (slot.complete()) {
-    stats_.inc("tie.packets_received");
+    st_packets_received_.inc();
     return true;
   }
   return false;
@@ -101,7 +108,7 @@ std::vector<std::uint32_t> TieInterface::consume_packet(int src_id) {
   peer.next_consume += 1;
   // Return a credit so the sender can reuse the landing area.
   tx_q_.push_front(make_flit(src_id, FlitSubType::kAck, 0, 0, 0));
-  stats_.inc("tie.packets_consumed");
+  st_packets_consumed_.inc();
   return out;
 }
 

@@ -103,7 +103,13 @@ class TieInterface {
 
   noc::Network& net_;
   int self_id_;
-  sim::StatSet& stats_;
+  // Per-event counters, resolved on first use (see sim::LazyStat).
+  sim::LazyStat st_packets_sent_;
+  sim::LazyStat st_flits_sent_;
+  sim::LazyStat st_credits_returned_;
+  sim::LazyStat st_flits_received_;
+  sim::LazyStat st_packets_received_;
+  sim::LazyStat st_packets_consumed_;
 
   std::deque<noc::Flit> tx_q_;
   int send_pending_ = 0;

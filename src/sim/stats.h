@@ -18,7 +18,9 @@
 /// Hot paths (router/cache/arbiter tick functions) should not pay a
 /// string-keyed map lookup per event: counter() / accumulator() return
 /// stable references (std::map nodes never move) that components resolve
-/// once at construction and bump directly every cycle.
+/// once at construction and bump directly every cycle.  Per-event
+/// counters that must not appear before their first event (an untouched
+/// counter has no key) use LazyStat, which resolves on first increment.
 
 namespace medea::sim {
 
@@ -201,6 +203,27 @@ class StatSet {
  private:
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, Accumulator> accs_;
+};
+
+/// A counter handle resolved on its first increment, then bumped
+/// directly.  Keeps StatSet::inc()'s key set — the key exists only once
+/// the event has happened — without its per-event string build and map
+/// walk.  Same lifetime contract as StatSet::counter().
+class LazyStat {
+ public:
+  LazyStat(StatSet& set, const char* name) : set_(set), name_(name) {}
+
+  void inc(std::uint64_t delta = 1) {
+    if (slot_ == nullptr) [[unlikely]] {
+      slot_ = &set_.counter(name_);
+    }
+    *slot_ += delta;
+  }
+
+ private:
+  StatSet& set_;
+  const char* name_;
+  Stat* slot_ = nullptr;
 };
 
 }  // namespace medea::sim

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <vector>
 
 #include "noc/network.h"
 #include "pe/bridge.h"
@@ -252,6 +253,37 @@ TEST(Bridge, ReplyWithoutTransactionThrows) {
   stray.type = FlitType::kSingleRead;
   stray.subtype = FlitSubType::kData;
   EXPECT_THROW(fx.h.bridge.rx(stray), std::runtime_error);
+}
+
+TEST(Bridge, MalformedDataFlitsThrowInEveryBuildMode) {
+  // A reply's SEQNUM indexes the 4-word reorder buffer and its arrival
+  // mask; a corrupt or duplicated Data flit must fail loudly instead of
+  // writing past the buffer or completing the wrong line.
+  struct Bad {
+    FlitType type;
+    std::vector<std::uint8_t> seqs;  // Data flits the remote plays back
+  };
+  const Bad cases[] = {
+      {FlitType::kBlockRead, {4}},     // past the reorder buffer
+      {FlitType::kBlockRead, {255}},   // past any shift width
+      {FlitType::kSingleRead, {1}},    // single read carries word 0 only
+      {FlitType::kBlockRead, {2, 2}},  // duplicate delivery
+  };
+  for (const Bad& b : cases) {
+    Fx fx;
+    Pif2NocBridge::Tx tx;
+    tx.type = b.type;
+    tx.addr = 0x2000;
+    tx.purpose = b.type == FlitType::kBlockRead ? TxPurpose::kFill
+                                                : TxPurpose::kLoadUncached;
+    fx.h.bridge.enqueue(tx);
+    for (std::uint8_t seq : b.seqs) {
+      fx.h.script_reply(b.type, FlitSubType::kData, seq, 3, 7);
+    }
+    EXPECT_THROW(fx.sched.run(100000), std::runtime_error)
+        << "seq " << static_cast<int>(b.seqs.back());
+    EXPECT_TRUE(fx.h.completions.empty());
+  }
 }
 
 }  // namespace

@@ -308,5 +308,41 @@ TEST(Mpmmu, IdleAfterServingEverything) {
   EXPECT_TRUE(fx.mpmmu.idle());
 }
 
+TEST(Mpmmu, MalformedWritePayloadThrowsInEveryBuildMode) {
+  // The payload's SEQNUM indexes the collected line; a word past the
+  // granted write's size, a duplicate, or a payload from a core other
+  // than the one granted must fail loudly, not corrupt memory.
+  enum class Bad { kSeqPastWrite, kSeqPastLine, kDuplicate, kWrongSource };
+  for (Bad bad : {Bad::kSeqPastWrite, Bad::kSeqPastLine, Bad::kDuplicate,
+                  Bad::kWrongSource}) {
+    Fixture fx;
+    auto& c = *fx.clients[0];
+    const FlitType t = bad == Bad::kSeqPastWrite ? FlitType::kSingleWrite
+                                                 : FlitType::kBlockWrite;
+    c.queue(c.make(fx.mpmmu_coord(), t, FlitSubType::kAddress, 0, 0, 0x3000));
+    ASSERT_TRUE(fx.sched.run(100000));
+    ASSERT_EQ(c.rx.size(), 1u);  // grant
+    switch (bad) {
+      case Bad::kSeqPastWrite:
+        c.queue(c.make(fx.mpmmu_coord(), t, FlitSubType::kData, 1, 0, 9));
+        break;
+      case Bad::kSeqPastLine:
+        c.queue(c.make(fx.mpmmu_coord(), t, FlitSubType::kData, 200, 3, 9));
+        break;
+      case Bad::kDuplicate:
+        c.queue(c.make(fx.mpmmu_coord(), t, FlitSubType::kData, 1, 3, 9));
+        c.queue(c.make(fx.mpmmu_coord(), t, FlitSubType::kData, 1, 3, 9));
+        break;
+      case Bad::kWrongSource: {
+        auto& o = *fx.clients[1];
+        o.queue(o.make(fx.mpmmu_coord(), t, FlitSubType::kData, 0, 3, 9));
+        break;
+      }
+    }
+    EXPECT_THROW(fx.sched.run(200000), std::runtime_error)
+        << "case " << static_cast<int>(bad);
+  }
+}
+
 }  // namespace
 }  // namespace medea::mpmmu

@@ -330,9 +330,16 @@ TEST(Ordering, WriteBufferStallsWhenFull) {
     co_await pe.fence();
   };
   sys.set_program(0, prog(sys.core(0), sys));
-  sys.run();
-  EXPECT_GT(sys.core(0).stats().get("pe.write_buffer_stalls"), 0u)
-      << "back-to-back WT stores must hit the write-buffer limit";
+  EXPECT_EQ(sys.run(), 2529u);
+  const std::uint64_t stalls =
+      sys.core(0).stats().get("pe.write_buffer_stalls");
+  EXPECT_EQ(stalls, 1991u)
+      << "back-to-back WT stores must hit the write-buffer limit, and a "
+         "parked core counts one stall per cycle it waits";
+  // While its write buffer is full and the bridge waits on an MPMMU
+  // reply, the core sleeps until that reply lands instead of re-ticking
+  // every stalled cycle.
+  EXPECT_LT(sys.scheduler().active_cycles(), stalls);
 }
 
 }  // namespace

@@ -16,12 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "apps/jacobi.h"
+#include "apps/reduction.h"
+#include "core/system.h"
 #include "noc/flit.h"
 #include "noc/network.h"
 #include "sim/domain.h"
@@ -217,6 +221,134 @@ TEST(RouterGolden, NonDefaultConfigDeliveryDigestIsPinned) {
     EXPECT_EQ(delivery_digest(run), kPinned)
         << "cycles " << run.r.cycles << ", digest 0x" << std::hex
         << delivery_digest(run);
+  }
+}
+
+/// One FNV-1a step over the eight bytes of `v`.
+void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+}
+
+/// FNV-1a over every counter and accumulator of `s`, by key and value.
+/// The sched.* host-kernel counters are skipped: they measure how the
+/// simulator dispatched the run, not what the hardware did.
+void mix_stats(std::uint64_t& h, const sim::StatSet& s) {
+  const auto mix_key = [&h](const std::string& k) {
+    for (char c : k) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ull;
+    }
+    h ^= 0xffu;  // terminator: "ab"+"c" and "a"+"bc" digest differently
+    h *= 0x100000001b3ull;
+  };
+  for (const auto& [k, v] : s.counters()) {
+    if (k.rfind("sched.", 0) == 0) continue;
+    mix_key(k);
+    fnv_mix(h, v);
+  }
+  for (const auto& [k, a] : s.accumulators()) {
+    if (k.rfind("sched.", 0) == 0) continue;
+    mix_key(k);
+    fnv_mix(h, a.count());
+    fnv_mix(h, std::bit_cast<std::uint64_t>(a.sum()));
+    fnv_mix(h, std::bit_cast<std::uint64_t>(a.min()));
+    fnv_mix(h, std::bit_cast<std::uint64_t>(a.max()));
+  }
+}
+
+/// Cycle count plus the stats of every core, L1, the MPMMU, its cache
+/// and the network of one finished app run.
+std::uint64_t app_stats_digest(core::MedeaSystem& sys, sim::Cycle cycles) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  fnv_mix(h, cycles);
+  for (int r = 0; r < sys.num_cores(); ++r) {
+    mix_stats(h, sys.core(r).stats());
+    mix_stats(h, sys.core(r).cache().stats());
+  }
+  mix_stats(h, sys.mpmmu().stats());
+  mix_stats(h, sys.mpmmu().cache().stats());
+  mix_stats(h, sys.network().stats());
+  return h;
+}
+
+TEST(AppGolden, StatsDigestIsPinned) {
+  // The benchmark's golden outputs pin cycles, flits and latency only,
+  // and the differential tests above compare kernels with each other.
+  // This pins every model counter of every block for each app variant
+  // under both write policies, so a PE, cache, MPMMU or fabric change
+  // that alters any simulated event — a stall count, a hit, a flit —
+  // fails here even when the cycle count happens to survive.
+  struct Case {
+    const char* name;
+    bool reduction;
+    int variant;  // apps::JacobiVariant or apps::ReductionVariant
+    mem::WritePolicy policy;
+    int cores;
+    pe::ArbiterKind arbiter;
+    bool shared_uncached;
+    sim::Cycle cycles;
+    std::uint64_t digest;
+  };
+  using mem::WritePolicy;
+  using pe::ArbiterKind;
+  constexpr auto kWb = WritePolicy::kWriteBack;
+  constexpr auto kWt = WritePolicy::kWriteThrough;
+  constexpr auto kDual = ArbiterKind::kDualFifo;
+  const Case cases[] = {
+      {"jacobi/wb", false, 0, kWb, 4, kDual, false, 11183,
+       0x034d36d01adcb1c8ull},
+      {"jacobi/wt", false, 0, kWt, 4, kDual, false, 33044,
+       0x90d7ed43f09c194aull},
+      {"jacobi-sync/wb", false, 1, kWb, 3, kDual, false, 18405,
+       0x19837481c6dbeddaull},
+      {"jacobi-sync/wt", false, 1, kWt, 3, kDual, false, 28969,
+       0xd001676571359e93ull},
+      {"jacobi-sm/wb", false, 2, kWb, 2, kDual, false, 19474,
+       0xf2a7d8f293b5a1deull},
+      {"jacobi-sm/wt", false, 2, kWt, 2, kDual, false, 30336,
+       0x8fd3a278a7a13fa2ull},
+      {"reduction/wb", true, 0, kWb, 8, kDual, false, 7458,
+       0x96e0f232a458edbbull},
+      {"reduction/wt", true, 0, kWt, 8, kDual, false, 7458,
+       0x96e0f232a458edbbull},
+      {"reduction-sm/wb", true, 1, kWb, 5, kDual, false, 8981,
+       0xdd5ec19c9799b80dull},
+      {"reduction-sm/wt", true, 1, kWt, 5, kDual, false, 9347,
+       0xe22aa2c288db7fa1ull},
+      {"jacobi/wt single-fifo", false, 0, kWt, 6, ArbiterKind::kSingleFifo,
+       false, 39870, 0xb4c4e799592b05dbull},
+      {"jacobi-sync/wt mux", false, 1, kWt, 8, ArbiterKind::kMux, false, 34254,
+       0x0cba663348f76127ull},
+      {"jacobi-sm/wt shared-uncached", false, 2, kWt, 4, kDual, true, 77099,
+       0x0afd5a46f5587c75ull},
+  };
+  for (const Case& c : cases) {
+    core::MedeaConfig cfg;
+    cfg.num_compute_cores = c.cores;
+    cfg.l1.policy = c.policy;
+    cfg.arbiter.kind = c.arbiter;
+    cfg.shared_uncached = c.shared_uncached;
+    core::MedeaSystem sys(cfg);
+    sim::Cycle cycles = 0;
+    if (c.reduction) {
+      apps::ReductionParams p;
+      p.elements = 64;
+      p.variant = static_cast<apps::ReductionVariant>(c.variant);
+      cycles = apps::run_reduction(sys, p).total_cycles;
+    } else {
+      apps::JacobiParams p;
+      p.n = 10;
+      p.variant = static_cast<apps::JacobiVariant>(c.variant);
+      cycles = apps::run_jacobi(sys, p).total_cycles;
+    }
+    const std::uint64_t digest = app_stats_digest(sys, cycles);
+    EXPECT_EQ(cycles, c.cycles) << c.name;
+    EXPECT_EQ(digest, c.digest)
+        << c.name << ": cycles " << cycles << ", digest 0x" << std::hex
+        << digest;
   }
 }
 
