@@ -1,6 +1,8 @@
 #include "pe/tie_interface.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace medea::pe {
 
@@ -70,7 +72,11 @@ bool TieInterface::on_rx_flit(const Flit& f) {
     // Credit return: the peer consumed one of our packets.
     auto [it, inserted] = credits_.try_emplace(f.src_id, kCreditsPerPeer);
     if (!inserted) it->second += 1;
-    assert(it->second <= kCreditsPerPeer);
+    if (it->second > kCreditsPerPeer) {
+      throw std::runtime_error(
+          "TIE credit return above the " + std::to_string(kCreditsPerPeer) +
+          " credits per peer: " + f.to_string());
+    }
     st_credits_returned_.inc();
     return false;
   }
@@ -78,9 +84,18 @@ bool TieInterface::on_rx_flit(const Flit& f) {
   PeerRx& peer = rx_[f.src_id];
   Slot& slot = peer.slots[(f.seq_num >> 2) & 3];
   const int offset = f.seq_num & 3;
+  // Checked before the slot is touched, so a bad flit leaves it intact.
+  // A burst past the 2-bit BURST field could never complete its slot.
+  if (offset > f.burst_size || f.burst_size >= kMaxMpPacketWords) {
+    throw std::runtime_error(
+        "TIE message flit SEQNUM offset or BURST out of range: " +
+        f.to_string());
+  }
+  if ((slot.mask & (1u << offset)) != 0) {
+    throw std::runtime_error("TIE duplicate message flit delivery: " +
+                             f.to_string());
+  }
   slot.expected = f.burst_size + 1;
-  assert(offset < slot.expected);
-  assert((slot.mask & (1u << offset)) == 0 && "duplicate flit delivery");
   slot.words[static_cast<std::size_t>(offset)] = f.data;
   slot.mask |= 1u << offset;
   st_flits_received_.inc();

@@ -8,20 +8,17 @@
 
 namespace medea::sim {
 
-namespace {
-/// Runaway guard: more shards than this is never useful for the fabric
-/// sizes this model targets, and each shard is a full scheduler.
-constexpr int kMaxShards = 64;
-}  // namespace
-
 int SimDomain::resolve_shards(const SchedulerConfig& cfg, int max_useful) {
   if (cfg.queue != SchedulerConfig::EventQueue::kShardedCalendar) return 1;
-  int n = cfg.num_shards != 0
-              ? static_cast<int>(cfg.num_shards)
-              : static_cast<int>(std::thread::hardware_concurrency());
+  // Cap before narrowing: a count of 2^31 or more would turn negative.
+  const std::uint32_t want = cfg.num_shards != 0
+                                 ? cfg.num_shards
+                                 : std::thread::hardware_concurrency();
+  int n = static_cast<int>(
+      std::min(want, static_cast<std::uint32_t>(kMaxShards)));
   if (n < 1) n = 1;
   if (max_useful > 0) n = std::min(n, max_useful);
-  return std::min(n, kMaxShards);
+  return n;
 }
 
 SimDomain::SimDomain(const SchedulerConfig& cfg, int max_useful_shards)

@@ -74,6 +74,11 @@
 
 namespace medea::sim {
 
+/// Runaway guard: more shards than this is never useful for the fabric
+/// sizes this model targets, and each shard is a full scheduler.
+/// RunRequest validation rejects a larger SchedulerConfig::num_shards.
+inline constexpr int kMaxShards = 64;
+
 class SimDomain {
  public:
   /// Build the shard set for `cfg`.  The shard count is
@@ -91,7 +96,7 @@ class SimDomain {
 
   /// Shard count `cfg` resolves to: 1 unless kShardedCalendar, else
   /// num_shards (0 = std::thread::hardware_concurrency), clamped to
-  /// [1, max_useful] (0 = unclamped) and a sanity cap of 64.
+  /// [1, max_useful] (0 = unclamped) and the sanity cap kMaxShards.
   static int resolve_shards(const SchedulerConfig& cfg, int max_useful);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }

@@ -11,6 +11,9 @@ namespace {
 /// Spill nodes are allocated in blocks and recycled forever; a block of
 /// 64 keeps the steady-state allocation count at "a handful per run".
 constexpr std::size_t kNodeBlockSize = 64;
+/// Order-table slots reserved when a scheduler is built: enough for a
+/// full-system model without regrowth, 4 kB plus two 64-byte bitmaps.
+constexpr std::size_t kInitialOrderSlots = 512;
 }  // namespace
 
 Component::Component(Scheduler& sched, std::string name)
@@ -18,11 +21,10 @@ Component::Component(Scheduler& sched, std::string name)
       name_(std::move(name)),
       order_(sched.next_component_order()) {
   hook_.comp = this;
+  sched_.register_component(*this);
 }
 
-void Component::wake(Cycle delta) {
-  sched_.wake_at(*this, sched_.now() + delta);
-}
+Component::~Component() { sched_.by_order_[order_] = nullptr; }
 
 Scheduler::Scheduler(const SchedulerConfig& cfg) : cfg_(cfg) {
   if (cfg_.ring_bits == 0) {
@@ -46,6 +48,20 @@ Scheduler::Scheduler(const SchedulerConfig& cfg) : cfg_(cfg) {
     ring_.resize(ring_size);
     ring_bitmap_.resize(ring_size / 64, 0);
   }
+  by_order_.resize(kInitialOrderSlots, nullptr);
+  for (auto& bits : near_) bits.resize(kInitialOrderSlots / 64, 0);
+}
+
+void Scheduler::register_component(Component& c) {
+  if (c.order_ >= by_order_.size()) {
+    // Shards of one SimDomain share the order counter, so a shard's table
+    // spans the global order; grow by doubling to keep registration O(1).
+    std::size_t slots = by_order_.size() * 2;
+    while (slots <= c.order_) slots *= 2;
+    by_order_.resize(slots, nullptr);
+    for (auto& bits : near_) bits.resize(slots / 64, 0);
+  }
+  by_order_[c.order_] = &c;
 }
 
 std::uint32_t Scheduler::suggested_ring_bits(double coverage) const {
@@ -117,7 +133,7 @@ void Scheduler::push_heap(Component& c, Cycle at) {
   ++overflow_pushes_;
 }
 
-void Scheduler::wake_at(Component& c, Cycle at) {
+void Scheduler::wake_slow(Component& c, Cycle at) {
   assert(at != kNeverCycle);
   if (dispatching_) {
     // Synchronous design: nothing scheduled mid-cycle may land in the
@@ -144,10 +160,13 @@ void Scheduler::wake_at(Component& c, Cycle at) {
   // bit_width per surviving push, far off the critical path next to the
   // queue insert below.
   ++horizon_hist_[std::bit_width(at - now_)];
-  // Route by horizon: wakes within the calendar ring become an O(1)
-  // bucket append; anything further out (or the whole load, under the
-  // legacy kernel) goes through the binary heap.
-  if (use_calendar_ && at - now_ <= ring_mask_) {
+  // Route by horizon: `now` and `now+1` set a near-tier bit, wakes
+  // within the calendar ring become an O(1) bucket append; anything
+  // further out (or the whole load, under the legacy kernel) goes
+  // through the binary heap.
+  if (use_calendar_ && at - now_ <= 1) {
+    push_near(c, at);
+  } else if (use_calendar_ && at - now_ <= ring_mask_) {
     push_bucket(c, at);
   } else {
     push_heap(c, at);
@@ -200,14 +219,10 @@ void Scheduler::drain_bucket(Cycle t) {
   b.head = b.tail = nullptr;
   ring_bitmap_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   while (n != nullptr) {
-    Component* c = n->comp;
+    mark_near(t, n->comp->order_);
     detail::WakeNode* next = n->next;
     release_node(n);
     --ring_count_;
-    if (c->last_ticked_ != t) {  // dedup same-cycle wakes
-      c->last_ticked_ = t;
-      dispatch_batch_.push_back(c);
-    }
     n = next;
   }
 }
@@ -216,6 +231,54 @@ void Scheduler::dispatch_cycle(Cycle t) {
   now_ = t;
   ++active_cycles_;
 
+  if (!use_calendar_) {
+    dispatch_sorted(t);
+  } else {
+    // Fold t's ring bucket and heap entries into t's near bitmap; its
+    // set bits are then exactly the components due at t.
+    while (!heap_.empty() && heap_.top().cycle == t) {
+      mark_near(t, heap_.top().component->order_);
+      heap_.pop();
+    }
+    drain_bucket(t);
+    near_count_[t & 1] = 0;
+
+    // Walk the set bits in ascending order, i.e. canonical construction
+    // order.  Ticks wake only t+1 (the other bitmap) or later (ring,
+    // heap), so each word can be cleared before its bits are ticked.
+    // Indices, not iterators: a tick that builds a component may grow
+    // the table and the bitmaps.
+    auto& bits = near_[t & 1];
+    dispatching_ = true;
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+      std::uint64_t word = bits[w];
+      if (word == 0) continue;
+      bits[w] = 0;
+      do {
+        Component* c = by_order_[(w << 6) |
+                                 static_cast<std::size_t>(
+                                     std::countr_zero(word))];
+        word &= word - 1;
+        assert(c != nullptr && "woken component was destroyed");
+        // Pop-time dedup: a component woken for now() between runs
+        // after it already ticked this cycle stays ticked once.
+        if (c->last_ticked_ != t) {
+          c->last_ticked_ = t;
+          c->tick(t);
+        }
+      } while (word != 0);
+    }
+    dispatching_ = false;
+  }
+
+  // End-of-cycle commit: staged channel pushes/pops become visible,
+  // which may wake consumers/producers at t+1.
+  commit_batch_.swap(commit_list_);
+  for (Committable* c : commit_batch_) c->commit();
+  commit_batch_.clear();
+}
+
+void Scheduler::dispatch_sorted(Cycle t) {
   // Gather every component woken for this cycle, then dispatch.  The
   // gather/dispatch split guarantees that wake_at() calls made inside
   // tick() (which must target t+1 or later) never join this batch.
@@ -227,12 +290,9 @@ void Scheduler::dispatch_cycle(Cycle t) {
     c->last_ticked_ = t;
     dispatch_batch_.push_back(c);
   }
-  if (use_calendar_) drain_bucket(t);
 
   // Canonical within-cycle order: sort by component construction
-  // sequence (see the file comment in scheduler.h).  The batch arrives
-  // mostly sorted (wakes are dominated by the previous cycle's commit
-  // sweep, which itself ran in canonical order), so the sort is cheap.
+  // sequence (see the file comment in scheduler.h).
   std::sort(dispatch_batch_.begin(), dispatch_batch_.end(),
             [](const Component* a, const Component* b) {
               return a->order() < b->order();
@@ -241,12 +301,6 @@ void Scheduler::dispatch_cycle(Cycle t) {
   dispatching_ = true;
   for (Component* c : dispatch_batch_) c->tick(t);
   dispatching_ = false;
-
-  // End-of-cycle commit: staged channel pushes/pops become visible,
-  // which may wake consumers/producers at t+1.
-  commit_batch_.swap(commit_list_);
-  for (Committable* c : commit_batch_) c->commit();
-  commit_batch_.clear();
 }
 
 bool Scheduler::run(Cycle limit) {

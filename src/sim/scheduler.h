@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
@@ -29,21 +30,32 @@
 ///  * wake() during a tick may only target strictly future cycles.
 ///
 /// Event-queue structure (SchedulerConfig): almost every wake in this
-/// model targets `now+1` (FIFO commits, self-re-arming engines), so the
-/// default kernel is a hierarchical calendar queue — a power-of-two ring
-/// of per-cycle buckets, each an intrusive singly-linked list threaded
-/// through the components themselves, making the dominant wake an O(1)
-/// pointer bump with zero allocation.  Far-future wakes (DDR-scale
-/// delays, idle-period jumps) overflow into the old binary heap, which
-/// stays selectable as the whole kernel for differential testing.
+/// model targets `now+1` (FIFO commits, link writes, self-re-arming
+/// engines), so the default kernel is a three-tier calendar:
+///  * Near tier — wakes for `now` and `now+1` set one bit in a bitmap
+///    indexed by the component's construction order, one bitmap per
+///    cycle parity.  The inline wake_at() fast path is a stamp compare
+///    and a bit set.
+///  * Ring tier — a power-of-two ring of per-cycle buckets for
+///    `now+2 .. now+ring`, each an intrusive singly-linked list threaded
+///    through the components themselves (zero allocation).
+///  * Overflow tier — a binary heap for anything further out
+///    (DDR-scale delays, idle-period jumps).
+/// Dispatching cycle t ORs t's ring bucket and heap entries into t's
+/// near bitmap, then walks its set bits with a find-first-set scan and
+/// ticks each component straight from an order -> Component* table.
+/// Set-bit order *is* construction order, so no batch is gathered or
+/// sorted.  The pure binary heap stays selectable as the whole kernel
+/// (gather, sort by construction order, tick) for differential testing.
+///
 /// Dispatch order is bit-identical between every kernel (calendar,
 /// binary heap, and the sharded executor in sim/domain.h): within a
-/// cycle the gathered batch is sorted by component construction order —
-/// a canonical order that is identical however the wake requests arrived
-/// and however the model is partitioned across shards.  The contract
-/// already makes within-cycle tick order unobservable (staged commits),
-/// so the canonical order changes no simulation result; it exists so
-/// observer event streams (delivery logs, flit traces) are comparable
+/// cycle components tick in construction order — a canonical order that
+/// is identical however the wake requests arrived and however the model
+/// is partitioned across shards.  The contract already makes
+/// within-cycle tick order unobservable (staged commits), so the
+/// canonical order changes no simulation result; it exists so observer
+/// event streams (delivery logs, flit traces) are comparable
 /// bit-for-bit across kernels.
 
 namespace medea::sim {
@@ -87,7 +99,9 @@ struct WakeNode {
 class Component {
  public:
   Component(Scheduler& sched, std::string name);
-  virtual ~Component() = default;
+  /// Clears this component's slot in the scheduler's order table, so the
+  /// scheduler must outlive every component built on it.
+  virtual ~Component();
 
   Component(const Component&) = delete;
   Component& operator=(const Component&) = delete;
@@ -104,9 +118,10 @@ class Component {
   void wake(Cycle delta = 1);
 
   /// Global construction sequence number — the canonical within-cycle
-  /// dispatch order (see the file comment).  Shard schedulers created by
-  /// one SimDomain share a single counter, so the order is global across
-  /// the whole partitioned model.
+  /// dispatch order and the component's bit in the near-tier bitmaps
+  /// (see the file comment).  Shard schedulers created by one SimDomain
+  /// share a single counter, so the order is global across the whole
+  /// partitioned model.
   std::uint64_t order() const { return order_; }
 
  private:
@@ -147,8 +162,9 @@ class Scheduler {
   /// Duplicate wakes for the same (component, future cycle) are deduped
   /// at push time via a per-component last-wake stamp, so a hot FIFO
   /// fan-in (N channels committing into one router in the same cycle)
-  /// costs one push instead of N.  A second dedup layer at pop time
+  /// costs one push instead of N.  A second dedup layer at dispatch time
   /// (Component::last_ticked_) covers the remaining `at == now` path.
+  /// The `now+1` case is inline (below); the rest is out of line.
   void wake_at(Component& c, Cycle at);
 
   /// Pressure counters: total wake_at() requests and how many were
@@ -157,9 +173,9 @@ class Scheduler {
   std::uint64_t wakes_deduped() const { return wakes_deduped_; }
   std::uint64_t heap_pushes() const { return wake_requests_ - wakes_deduped_; }
 
-  /// Where the surviving pushes landed: calendar-ring buckets (the O(1)
-  /// near-future fast path) vs the overflow binary heap.  In the legacy
-  /// kBinaryHeap kernel every push counts as an overflow push.
+  /// Where the surviving pushes landed: the calendar's near bitmaps and
+  /// ring buckets (counted together) vs the overflow binary heap.  In the
+  /// legacy kBinaryHeap kernel every push counts as an overflow push.
   std::uint64_t bucket_pushes() const { return bucket_pushes_; }
   std::uint64_t overflow_pushes() const { return overflow_pushes_; }
 
@@ -199,9 +215,13 @@ class Scheduler {
   std::uint64_t commit_pushes() const { return commit_pushes_; }
   std::uint64_t commits_deduped() const { return commits_deduped_; }
 
-  /// Entries currently queued across both tiers (calendar ring +
-  /// overflow heap) — the "event queue occupancy" telemetry gauge.
-  std::size_t queued() const { return ring_count_ + heap_.size(); }
+  /// Entries currently queued across every tier (near bitmaps, calendar
+  /// ring, overflow heap) — the "event queue occupancy" telemetry gauge.
+  /// A near-tier push counts once even when its bit was already set, so
+  /// the gauge reads the same as a one-entry-per-push queue would.
+  std::size_t queued() const {
+    return near_count_[0] + near_count_[1] + ring_count_ + heap_.size();
+  }
 
   /// Install (or clear, with nullptr) the periodic cycle hook.  `first`
   /// is the first cycle of interest; after that the hook's own return
@@ -223,7 +243,7 @@ class Scheduler {
   /// Abort the run loop at the end of the current cycle.
   void request_stop() { stop_requested_ = true; }
 
-  bool idle() const { return ring_count_ == 0 && heap_.empty(); }
+  bool idle() const { return queued() == 0; }
 
   // ------------------------------------------------------------------
   // Sharded-executor interface (sim::SimDomain).  A SimDomain drives
@@ -234,16 +254,20 @@ class Scheduler {
   // execution modes cannot drift apart.
   // ------------------------------------------------------------------
 
-  /// Earliest pending event time across both tiers (kNeverCycle: idle).
+  /// Earliest pending event time across every tier (kNeverCycle: idle).
   Cycle next_event_cycle() const {
-    Cycle t = use_calendar_ ? next_ring_cycle() : kNeverCycle;
+    // Near-tier entries target now_ or now_+1, and nothing is queued
+    // before now_.
+    if (near_count_[now_ & 1] != 0) return now_;
+    Cycle t = near_count_[(now_ + 1) & 1] != 0 ? now_ + 1 : kNeverCycle;
+    if (ring_count_ != 0) t = std::min(t, next_ring_cycle());
     if (!heap_.empty() && heap_.top().cycle < t) t = heap_.top().cycle;
     return t;
   }
 
-  /// Dispatch one cycle: gather the batch woken for `t` (which must be
-  /// next_event_cycle()), tick it in canonical component order, and run
-  /// the end-of-cycle commit phase.  Does not fire the cycle hook — the
+  /// Dispatch one cycle: tick every component woken for `t` (which must
+  /// be next_event_cycle()) in canonical component order, then run the
+  /// end-of-cycle commit phase.  Does not fire the cycle hook — the
   /// caller (run() or the SimDomain) owns hook cadence.
   void dispatch_cycle(Cycle t);
 
@@ -291,13 +315,34 @@ class Scheduler {
     detail::WakeNode* tail = nullptr;
   };
 
+  friend class Component;
+
+  /// Enter `c` in the order table (Component's constructor); grows the
+  /// table and both near bitmaps geometrically.
+  void register_component(Component& c);
+  /// Out-of-line part of wake_at(): every wake but the calendar's `now+1`.
+  void wake_slow(Component& c, Cycle at);
+  /// Set component `order`'s bit in the near bitmap of `at`'s parity.
+  void mark_near(Cycle at, std::uint64_t order) {
+    near_[at & 1][order >> 6] |= std::uint64_t{1} << (order & 63);
+  }
+  /// Mark `c` due at `at` (now_ or now_+1) in the near tier.
+  void push_near(Component& c, Cycle at) {
+    mark_near(at, c.order_);
+    ++near_count_[at & 1];
+    ++bucket_pushes_;
+  }
   void push_bucket(Component& c, Cycle at);
   void push_heap(Component& c, Cycle at);
+  /// Legacy kBinaryHeap dispatch: gather t's batch, sort it by
+  /// construction order, tick it.
+  void dispatch_sorted(Cycle t);
   detail::WakeNode* acquire_node(Component& c);
   void release_node(detail::WakeNode* n);
   /// Earliest non-empty ring cycle in [now_, now_ + ring size), or
   /// kNeverCycle.  A bitmap word scan, so idle gaps cost ~ring/64 tests.
   Cycle next_ring_cycle() const;
+  /// Move t's ring bucket into t's near bitmap.
   void drain_bucket(Cycle t);
 
   SchedulerConfig cfg_;
@@ -323,6 +368,13 @@ class Scheduler {
   CycleHook* hook_ = nullptr;
   Cycle hook_next_ = kNeverCycle;
 
+  // Near tier: order -> component table (null for orders built on
+  // another shard or already destroyed), one order-indexed bitmap per
+  // cycle parity, and the pushes each bitmap holds.
+  std::vector<Component*> by_order_;
+  std::array<std::vector<std::uint64_t>, 2> near_;
+  std::array<std::size_t, 2> near_count_{};
+
   // Calendar tier: ring of buckets indexed by (cycle & ring_mask_), an
   // occupancy bitmap for next-event scans, and the spill-node pool.
   std::size_t ring_mask_ = 0;
@@ -337,8 +389,30 @@ class Scheduler {
 
   std::vector<Committable*> commit_list_;
   std::vector<Committable*> commit_batch_;
-  std::vector<Component*> dispatch_batch_;
+  std::vector<Component*> dispatch_batch_;  ///< kBinaryHeap only
   std::ostream* trace_ = nullptr;
 };
+
+inline void Scheduler::wake_at(Component& c, Cycle at) {
+  assert(&c.sched_ == this && "wake a component on its own scheduler");
+  // The dominant wake: next cycle, calendar kernel.  Same counters and
+  // push-time dedup as wake_slow(), whose comments explain them.
+  if (at == now_ + 1 && use_calendar_) [[likely]] {
+    ++wake_requests_;
+    if (c.last_wake_cycle_ == at) {
+      ++wakes_deduped_;
+      return;
+    }
+    c.last_wake_cycle_ = at;
+    ++horizon_hist_[1];
+    push_near(c, at);
+    return;
+  }
+  wake_slow(c, at);
+}
+
+inline void Component::wake(Cycle delta) {
+  sched_.wake_at(*this, sched_.now() + delta);
+}
 
 }  // namespace medea::sim

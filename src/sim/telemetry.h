@@ -120,6 +120,8 @@ class Sampler final : public sim::CycleHook {
   /// kernel's own pressure series: sched.wake_requests/wakes_deduped/
   /// bucket_pushes/overflow_pushes/commit_pushes/commits_deduped
   /// (cumulative) and sched.queued/ring_bits (gauges).
+  /// sched.bucket_pushes counts the calendar's near-tier (`now`/`now+1`
+  /// bitmap) pushes together with its ring-bucket pushes.
   void attach(sim::Scheduler& sched);
 
   /// Same wiring over a sharded simulation domain: the pressure series

@@ -16,10 +16,11 @@ inline constexpr Cycle kNeverCycle = ~Cycle{0};
 
 /// Event-queue selection for the discrete-event kernel.
 ///
-/// The calendar queue is the default: a power-of-two ring of per-cycle
-/// buckets absorbs every near-future wake (the overwhelming majority are
-/// `now+1`) as an O(1) pointer bump, with a binary heap kept only as an
-/// overflow tier for far-future events (DDR-refresh-scale delays).  The
+/// The calendar queue is the default: the overwhelming majority of wakes
+/// (`now+1`) set one bit in a construction-order bitmap, a power-of-two
+/// ring of per-cycle buckets absorbs the rest of the near future, and a
+/// binary heap is kept only as an overflow tier for far-future events
+/// (DDR-refresh-scale delays; see sim/scheduler.h).  The
 /// pure binary heap remains selectable so differential tests can run the
 /// same seed through both kernels and assert bit-identical behaviour.
 /// kShardedCalendar partitions the model across per-thread calendar

@@ -151,6 +151,16 @@ void validate_request(const RunRequest& req, const Workload& w) {
           std::to_string(nodes) + ") (the fabric's node ids)");
     }
   }
+  // Above the cap the shard count used to be clamped silently (and a
+  // value of 2^31 or more wrapped negative to one shard).
+  if (req.machine.scheduler.num_shards >
+      static_cast<std::uint32_t>(sim::kMaxShards)) {
+    throw std::invalid_argument(
+        "machine.scheduler.num_shards " +
+        std::to_string(req.machine.scheduler.num_shards) +
+        " exceeds the cap of " + std::to_string(sim::kMaxShards) +
+        " shards (0 = one per hardware thread)");
+  }
   const MeasurementParams& m = req.measurement;
   if (m.phased && k != WorkloadKind::kSynthetic) {
     throw std::invalid_argument(

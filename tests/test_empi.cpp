@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/medea.h"
@@ -147,6 +148,45 @@ TEST(Empi, RepeatedBarriersStaySynchronized) {
   }
   sys.run();
   for (int v : counters) EXPECT_EQ(v, 5);
+}
+
+TEST(Empi, MalformedMessageFlitsThrowInEveryBuildMode) {
+  // The TIE lands a message flit straight at its SEQNUM offset and counts
+  // credits per peer; a flit past its burst, a duplicate, or a surplus
+  // credit return must fail loudly instead of corrupting the landing
+  // area or the flow control.
+  sim::Scheduler sched;
+  noc::Network net(sched, noc::TorusGeometry(2, 2));
+  sim::StatSet stats;
+  const auto flit = [](noc::FlitSubType sub, std::uint8_t seq,
+                       std::uint8_t burst) {
+    noc::Flit f;
+    f.valid = true;
+    f.type = noc::FlitType::kMessage;
+    f.subtype = sub;
+    f.seq_num = seq;
+    f.burst_size = burst;
+    f.src_id = 1;
+    return f;
+  };
+
+  pe::TieInterface past_burst(net, 0, stats);
+  EXPECT_THROW(past_burst.on_rx_flit(flit(noc::kMpData, 2, 1)),
+               std::runtime_error);  // offset 2 of a 2-word packet
+  EXPECT_THROW(past_burst.on_rx_flit(flit(noc::kMpData, 0, 4)),
+               std::runtime_error);  // 5 words: past the 2-bit BURST field
+
+  pe::TieInterface dup(net, 0, stats);
+  EXPECT_FALSE(dup.on_rx_flit(flit(noc::kMpData, 1, 1)));
+  EXPECT_THROW(dup.on_rx_flit(flit(noc::kMpData, 1, 1)), std::runtime_error);
+  EXPECT_TRUE(dup.on_rx_flit(flit(noc::kMpData, 0, 1)));  // slot intact
+
+  pe::TieInterface credits(net, 0, stats);
+  const std::uint32_t word = 7;
+  credits.start_send(1, &word, 1);
+  EXPECT_FALSE(credits.on_rx_flit(flit(noc::FlitSubType::kAck, 0, 0)));
+  EXPECT_THROW(credits.on_rx_flit(flit(noc::FlitSubType::kAck, 0, 0)),
+               std::runtime_error);  // more credits back than were spent
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "sim/domain.h"
 #include "sim/fifo.h"
 #include "sim/frame_pool.h"
 #include "sim/rng.h"
@@ -331,6 +335,93 @@ TEST(CalendarQueue, IdleReflectsBothTiers) {
   EXPECT_FALSE(sched.idle());
   EXPECT_TRUE(sched.run());
   EXPECT_TRUE(sched.idle());
+}
+
+TEST(CalendarQueue, NearRingAndHeapWakesMergeInConstructionOrder) {
+  // 130 components (three bitmap words) all due at cycle T, woken through
+  // every tier: from cycle 0 (beyond the 1024-cycle ring: overflow heap),
+  // from T-5 (ring bucket) and from T-1 (near bitmap), each batch
+  // requested in reverse construction order.  Every kernel ticks each
+  // exactly once, at T, in construction order; a 2-shard domain, whose
+  // components interleave across shards, does so within each shard.
+  constexpr int kComps = 130;
+  constexpr Cycle kT = 2000;
+  using Log = std::vector<std::pair<int, Cycle>>;
+  struct Proxy final : Component {
+    Proxy(Scheduler& s, int id, Log* log)
+        : Component(s, "proxy"), id_(id), log_(log) {}
+    void tick(Cycle now) override { log_->emplace_back(id_, now); }
+    int id_;
+    Log* log_;
+  };
+  struct Waker final : Component {
+    Waker(Scheduler& s, std::vector<Proxy*> targets)
+        : Component(s, "waker"), targets_(std::move(targets)) {}
+    void tick(Cycle) override {
+      for (Proxy* p : targets_) scheduler().wake_at(*p, kT);
+    }
+    std::vector<Proxy*> targets_;
+  };
+  SchedulerConfig sharded;
+  sharded.queue = SchedulerConfig::EventQueue::kShardedCalendar;
+  sharded.num_shards = 2;
+
+  for (const SchedulerConfig& cfg :
+       {SchedulerConfig{}, legacy_heap_cfg(), sharded}) {
+    SimDomain dom(cfg, 2);
+    const int n = dom.num_shards();
+    const auto shard_of = [&](int i) -> Scheduler& { return dom.shard(i % n); };
+    std::vector<Log> logs(static_cast<std::size_t>(n));
+    std::vector<std::unique_ptr<Proxy>> proxies;
+    for (int i = 0; i < kComps; ++i) {
+      proxies.push_back(std::make_unique<Proxy>(
+          shard_of(i), i, &logs[static_cast<std::size_t>(i % n)]));
+    }
+    std::vector<std::vector<Proxy*>> ring_targets(logs.size());
+    std::vector<std::vector<Proxy*>> near_targets(logs.size());
+    for (int i = kComps - 1; i >= 0; --i) {
+      Proxy& p = *proxies[static_cast<std::size_t>(i)];
+      const auto s = static_cast<std::size_t>(i % n);
+      if (i % 3 == 0) shard_of(i).wake_at(p, kT);  // overflow heap
+      if (i % 3 == 1) ring_targets[s].push_back(&p);
+      if (i % 3 == 2) near_targets[s].push_back(&p);
+    }
+    std::vector<std::unique_ptr<Waker>> wakers;
+    for (int s = 0; s < n; ++s) {
+      const auto ss = static_cast<std::size_t>(s);
+      wakers.push_back(std::make_unique<Waker>(dom.shard(s), ring_targets[ss]));
+      dom.shard(s).wake_at(*wakers.back(), kT - 5);
+      wakers.push_back(std::make_unique<Waker>(dom.shard(s), near_targets[ss]));
+      dom.shard(s).wake_at(*wakers.back(), kT - 1);
+    }
+    EXPECT_TRUE(dom.run());
+
+    const std::string what = "shards=" + std::to_string(n) + " heap=" +
+                             std::to_string(cfg == legacy_heap_cfg());
+    std::vector<Log> expected(logs.size());
+    for (int i = 0; i < kComps; ++i) {
+      expected[static_cast<std::size_t>(i % n)].emplace_back(i, kT);
+    }
+    EXPECT_EQ(logs, expected) << what;
+    if (cfg == legacy_heap_cfg()) {
+      EXPECT_EQ(dom.bucket_pushes(), 0u);
+    } else {
+      // 43 ring + 43 near wakes count as bucket pushes; 44 proxies and
+      // every waker went to the heap.
+      EXPECT_EQ(dom.bucket_pushes(), 86u) << what;
+      EXPECT_EQ(dom.overflow_pushes(), 44u + 2u * static_cast<unsigned>(n))
+          << what;
+    }
+
+    // Waking a component for now() between runs after it already ticked
+    // this cycle dispatches the cycle again but does not tick it twice.
+    const std::uint64_t active = dom.active_cycles();
+    shard_of(5).wake_at(*proxies[5], dom.now());
+    EXPECT_TRUE(dom.run());
+    EXPECT_EQ(logs, expected) << what;
+    EXPECT_EQ(dom.active_cycles(), active + 1) << what;
+    EXPECT_TRUE(dom.idle()) << what;
+  }
 }
 
 // ---------------------------------------------------------------------
