@@ -35,8 +35,6 @@ bench::Measurement design_point(
   std::uint64_t bucket_pushes = 0;
   std::uint64_t overflow_pushes = 0;
   std::uint64_t wakes_deduped = 0;
-  std::uint64_t commit_pushes = 0;
-  std::uint64_t commits_deduped = 0;
   std::uint64_t frame_hits = 0;
   std::uint64_t frame_misses = 0;
   auto m = bench::run_case(
@@ -55,8 +53,6 @@ bench::Measurement design_point(
         bucket_pushes = sched.bucket_pushes();
         overflow_pushes = sched.overflow_pushes();
         wakes_deduped = sched.wakes_deduped();
-        commit_pushes = sched.commit_pushes();
-        commits_deduped = sched.commits_deduped();
         const sim::FramePool::Stats fp1 = sim::FramePool::tls().stats();
         frame_hits = fp1.hits - fp0.hits;
         frame_misses = fp1.misses - fp0.misses;
@@ -75,10 +71,6 @@ bench::Measurement design_point(
   m.metric("sched_bucket_pushes", static_cast<double>(bucket_pushes));
   m.metric("sched_overflow_pushes", static_cast<double>(overflow_pushes));
   m.metric("sched_wakes_deduped", static_cast<double>(wakes_deduped));
-  // Commit-list pressure: registrations that reached the list vs
-  // duplicates absorbed by the Fifo epoch-stamp dedup.
-  m.metric("sched_commit_pushes", static_cast<double>(commit_pushes));
-  m.metric("sched_commit_dedups", static_cast<double>(commits_deduped));
   m.metric("frame_pool_hits", static_cast<double>(frame_hits));
   m.metric("frame_pool_misses", static_cast<double>(frame_misses));
   const double frame_total = static_cast<double>(frame_hits + frame_misses);

@@ -29,6 +29,9 @@ void MedeaConfig::validate() const {
     throw std::invalid_argument(
         "MedeaConfig: L1 size must be a power of two >= 1kB");
   }
+  l1.validate("MedeaConfig: l1");
+  mpmmu.cache.validate("MedeaConfig: mpmmu.cache");
+  router.validate("MedeaConfig: router");
   // The SRCID field width limits the addressable node count (Fig. 5;
   // widened to 8 bits here so 8x8+ tori are representable).
   if (num_nodes() > (1 << noc::FlitFormat::kSrcIdBits)) {

@@ -1,17 +1,33 @@
 #include "mem/cache.h"
 
-#include <cassert>
 #include <new>
 #include <span>
+#include <stdexcept>
 
 namespace medea::mem {
 
+void CacheConfig::validate(const std::string& field) const {
+  std::string problem;
+  if (line_bytes != kLineBytes) {
+    problem = "line_bytes must be 16 (the model's line size), got " +
+              std::to_string(line_bytes);
+  } else if (ways == 0) {
+    problem = "ways must be >= 1, got 0";
+  } else if (size_bytes == 0 || size_bytes % line_bytes != 0) {
+    problem = "size_bytes must be a positive multiple of 16, got " +
+              std::to_string(size_bytes);
+  } else if (num_lines() % ways != 0) {
+    problem = "ways " + std::to_string(ways) + " does not divide the " +
+              std::to_string(num_lines()) + " lines";
+  } else if ((num_sets() & (num_sets() - 1)) != 0) {
+    problem = "size_bytes " + std::to_string(size_bytes) +
+              " does not give a power-of-two number of sets";
+  }
+  if (!problem.empty()) throw std::invalid_argument(field + "." + problem);
+}
+
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
-  assert(cfg_.line_bytes == kLineBytes && "model is fixed at 16-byte lines");
-  assert(cfg_.size_bytes % cfg_.line_bytes == 0);
-  assert(cfg_.ways >= 1 && cfg_.num_lines() % cfg_.ways == 0);
-  assert((cfg_.num_sets() & (cfg_.num_sets() - 1)) == 0 &&
-         "number of sets must be a power of two");
+  cfg_.validate("cache");
   lines_.reset(
       static_cast<Line*>(std::calloc(cfg_.num_lines(), sizeof(Line))));
   if (!lines_) throw std::bad_alloc();

@@ -51,6 +51,11 @@ struct CacheConfig {
 
   std::uint32_t num_lines() const { return size_bytes / line_bytes; }
   std::uint32_t num_sets() const { return num_lines() / ways; }
+
+  /// Throws std::invalid_argument naming `field` (e.g. "l1") unless the
+  /// geometry is one the model can index: 16-byte lines, at least one
+  /// way, and a power-of-two number of whole sets.
+  void validate(const std::string& field) const;
 };
 
 using LineData = std::array<std::uint32_t, kWordsPerLine>;

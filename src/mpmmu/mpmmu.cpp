@@ -20,8 +20,8 @@ Mpmmu::Mpmmu(sim::Scheduler& sched, noc::Network& net, int node_id,
       cache_(cfg.cache),
       // Paper: "The depth of this queue is as large as the number of
       // processors" — each core has at most one outstanding transaction.
-      req_q_(sched, name() + ".pif_req", static_cast<std::size_t>(num_cores)),
-      data_q_(sched, name() + ".pif_data", mem::kWordsPerLine) {
+      req_q_(sched, static_cast<std::size_t>(num_cores)),
+      data_q_(sched, mem::kWordsPerLine) {
   req_q_.set_consumer(this);
   data_q_.set_consumer(this);
   net_.eject(node_id_).set_consumer(this);

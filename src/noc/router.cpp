@@ -1,8 +1,22 @@
 #include "noc/router.h"
 
 #include <cstdlib>
+#include <stdexcept>
+#include <utility>
 
 namespace medea::noc {
+
+void RouterConfig::validate(const std::string& field) const {
+  const std::pair<const char*, int> fields[] = {
+      {"eject_per_cycle", eject_per_cycle},
+      {"inject_queue_depth", inject_queue_depth},
+      {"eject_queue_depth", eject_queue_depth}};
+  for (const auto& [name, v] : fields) {
+    if (v < 1) {
+      throw std::invalid_argument(field + "." + name + " must be >= 1");
+    }
+  }
+}
 
 namespace {
 
@@ -47,10 +61,8 @@ DeflectionRouter::DeflectionRouter(sim::Scheduler& sched,
       acc_latency_(net_stats.accumulator("noc.latency")),
       acc_hops_(net_stats.accumulator("noc.hops")),
       acc_defl_(net_stats.accumulator("noc.deflections")),
-      inject_q_(sched, name() + ".inject",
-                static_cast<std::size_t>(cfg.inject_queue_depth)),
-      eject_q_(sched, name() + ".eject",
-               static_cast<std::size_t>(cfg.eject_queue_depth)) {
+      inject_q_(sched, static_cast<std::size_t>(cfg.inject_queue_depth)),
+      eject_q_(sched, static_cast<std::size_t>(cfg.eject_queue_depth)) {
   inject_q_.set_consumer(this);
 }
 

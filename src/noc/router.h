@@ -44,7 +44,7 @@ namespace medea::noc {
 /// One unidirectional router-to-router link: a one-flit register.
 ///
 /// A hot-potato link carries at most one flit per cycle and never
-/// back-pressures, so it needs no queue and no end-of-cycle commit.  The
+/// back-pressures, so it needs no queue and no occupancy tracking.  The
 /// register is double-buffered by cycle parity: during cycle t the
 /// producer router writes entry (t+1)&1 and wakes the consumer for t+1,
 /// while the consumer router reads and clears entry t&1.  A flit sent at
@@ -79,6 +79,10 @@ struct RouterConfig {
   bool random_tie_break = false;  ///< age ties: random port pick vs fixed scan
 
   bool operator==(const RouterConfig&) const = default;
+
+  /// Throws std::invalid_argument naming `field` (e.g. "machine.router")
+  /// for a queue depth or eject bandwidth below 1.
+  void validate(const std::string& field) const;
 };
 
 class DeflectionRouter : public sim::Component {
@@ -129,7 +133,7 @@ class DeflectionRouter : public sim::Component {
   FlitObserver* observer_ = nullptr;
   FlitObserver* lifecycle_ = nullptr;  ///< observer_ iff it wants hop events
   /// Inject-queue entries already announced via on_queue_enter (a
-  /// watermark into the committed queue; decremented on pop).
+  /// watermark into the visible queue; decremented on pop).
   std::size_t q_announced_ = 0;
 
   // Stat handles resolved once at construction; bumping these on the

@@ -30,10 +30,7 @@ XyNetwork::XyNetwork(sim::Scheduler& sched, const TorusGeometry& geom,
     for (int d = 0; d < kNumDirs; ++d) {
       const Dir dir = static_cast<Dir>(d);
       const Coord to = geom_.neighbor(from, dir);
-      auto link = std::make_unique<sim::Fifo<Flit>>(
-          sched,
-          "xylink" + from.to_string() + to_string(dir) + "->" + to.to_string(),
-          kLinkCapacity);
+      auto link = std::make_unique<sim::Fifo<Flit>>(sched, kLinkCapacity);
       routers_[static_cast<std::size_t>(id)]->connect_output(dir, link.get());
       router(geom_.node_id(to)).connect_input(opposite(dir), link.get());
       links_.push_back(std::move(link));

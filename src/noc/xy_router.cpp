@@ -1,8 +1,23 @@
 #include "noc/xy_router.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <utility>
 
 namespace medea::noc {
+
+void XyRouterConfig::validate(const std::string& field) const {
+  const std::pair<const char*, int> fields[] = {
+      {"input_buffer_depth", input_buffer_depth},
+      {"eject_per_cycle", eject_per_cycle},
+      {"inject_queue_depth", inject_queue_depth},
+      {"eject_queue_depth", eject_queue_depth}};
+  for (const auto& [name, v] : fields) {
+    if (v < 1) {
+      throw std::invalid_argument(field + "." + name + " must be >= 1");
+    }
+  }
+}
 
 XyRouter::XyRouter(sim::Scheduler& sched, const TorusGeometry& geom, Coord pos,
                    const XyRouterConfig& cfg, bool torus_wrap,
@@ -16,10 +31,8 @@ XyRouter::XyRouter(sim::Scheduler& sched, const TorusGeometry& geom, Coord pos,
       stats_(stats),
       st_delivered_here_(stats.counter(
           "xynoc.router." + std::to_string(geom.node_id(pos)) + ".delivered")),
-      inject_q_(sched, name() + ".inject",
-                static_cast<std::size_t>(cfg.inject_queue_depth)),
-      eject_q_(sched, name() + ".eject",
-               static_cast<std::size_t>(cfg.eject_queue_depth)) {
+      inject_q_(sched, static_cast<std::size_t>(cfg.inject_queue_depth)),
+      eject_q_(sched, static_cast<std::size_t>(cfg.eject_queue_depth)) {
   inject_q_.set_consumer(this);
 }
 

@@ -43,6 +43,10 @@ struct XyRouterConfig {
   int eject_queue_depth = 4;
 
   bool operator==(const XyRouterConfig&) const = default;
+
+  /// Throws std::invalid_argument naming `field` for a buffer or queue
+  /// depth or an eject bandwidth below 1.
+  void validate(const std::string& field) const;
 };
 
 class XyRouter : public sim::Component {

@@ -94,12 +94,6 @@ std::uint64_t SimDomain::bucket_pushes() const {
 std::uint64_t SimDomain::overflow_pushes() const {
   MEDEA_DOMAIN_SUM(overflow_pushes);
 }
-std::uint64_t SimDomain::commit_pushes() const {
-  MEDEA_DOMAIN_SUM(commit_pushes);
-}
-std::uint64_t SimDomain::commits_deduped() const {
-  MEDEA_DOMAIN_SUM(commits_deduped);
-}
 std::size_t SimDomain::queued() const { MEDEA_DOMAIN_SUM(queued); }
 
 #undef MEDEA_DOMAIN_SUM

@@ -140,7 +140,8 @@ class SimDomain {
   /// Per-shard drain-phase work for the cycle just dispatched: turn what
   /// neighbor shards wrote for shard `s` this cycle (full seam links)
   /// into wakes on shard s's own scheduler.  Runs on shard s's thread,
-  /// after every shard's commits and before any shard's next dispatch.
+  /// after every shard has dispatched `t` and before any shard's next
+  /// dispatch.
   void add_shard_drain(int s, std::function<void(Cycle)> fn);
 
   /// Serial end-of-cycle work (observer fan-in flush, in registration
@@ -164,8 +165,6 @@ class SimDomain {
   std::uint64_t wakes_deduped() const;
   std::uint64_t bucket_pushes() const;
   std::uint64_t overflow_pushes() const;
-  std::uint64_t commit_pushes() const;
-  std::uint64_t commits_deduped() const;
   std::size_t queued() const;
 
   /// Wall-clock nanoseconds threads spent spinning at cycle barriers,

@@ -270,12 +270,6 @@ void Scheduler::dispatch_cycle(Cycle t) {
     }
     dispatching_ = false;
   }
-
-  // End-of-cycle commit: staged channel pushes/pops become visible,
-  // which may wake consumers/producers at t+1.
-  commit_batch_.swap(commit_list_);
-  for (Committable* c : commit_batch_) c->commit();
-  commit_batch_.clear();
 }
 
 void Scheduler::dispatch_sorted(Cycle t) {

@@ -22,16 +22,17 @@
 /// paper's Section III affordable on one machine.
 ///
 /// Semantics contract (matches RTL intuition):
-///  * A component's tick(now) sees only state committed in cycles < now.
+///  * A component's tick(now) sees only state written in cycles < now.
 ///  * Values pushed into channels during tick(now) become visible to
-///    consumers at cycle now+1 (two-phase staged commit).
+///    consumers at cycle now+1 (a channel hides the pushes of the cycle
+///    being dispatched; see sim/fifo.h).
 ///  * A component may receive spurious ticks; tick() must be idempotent
 ///    when there is no work to do.
 ///  * wake() during a tick may only target strictly future cycles.
 ///
 /// Event-queue structure (SchedulerConfig): almost every wake in this
-/// model targets `now+1` (FIFO commits, link writes, self-re-arming
-/// engines), so the default kernel is a three-tier calendar:
+/// model targets `now+1` (FIFO pushes and pops, link writes,
+/// self-re-arming engines), so the default kernel is a three-tier calendar:
 ///  * Near tier — wakes for `now` and `now+1` set one bit in a bitmap
 ///    indexed by the component's construction order, one bitmap per
 ///    cycle parity.  The inline wake_at() fast path is a stamp compare
@@ -53,7 +54,7 @@
 /// cycle components tick in construction order — a canonical order that
 /// is identical however the wake requests arrived and however the model
 /// is partitioned across shards.  The contract already makes
-/// within-cycle tick order unobservable (staged commits), so the
+/// within-cycle tick order unobservable (next-cycle visibility), so the
 /// canonical order changes no simulation result; it exists so observer
 /// event streams (delivery logs, flit traces) are comparable
 /// bit-for-bit across kernels.
@@ -67,7 +68,7 @@ class Component;
 ///
 /// The scheduler calls on_cycle(now) at the top of any dispatched cycle
 /// that has reached the cycle the hook last asked for (before any
-/// component ticks, so the hook sees only state committed in cycles
+/// component ticks, so the hook sees only state written in cycles
 /// < now).  The return value is the next cycle of interest; returning
 /// kNeverCycle mutes the hook.  Because the check rides the run loop's
 /// existing cycle advance — one integer compare per *dispatched cycle*,
@@ -134,13 +135,6 @@ class Component {
   detail::WakeNode hook_;            // intrusive calendar-bucket hook
 };
 
-/// Anything with staged state that must be made visible at end of cycle.
-class Committable {
- public:
-  virtual ~Committable() = default;
-  virtual void commit() = 0;
-};
-
 /// The simulation kernel.
 class Scheduler {
  public:
@@ -153,7 +147,13 @@ class Scheduler {
 
   Cycle now() const { return now_; }
 
-  /// Total cycles in which at least one component ticked.
+  /// True while dispatch_cycle() is ticking components for now(): the
+  /// window in which the channel writes of this dispatch are pending.
+  bool dispatching() const { return dispatching_; }
+
+  /// Total cycles in which at least one component ticked.  Every
+  /// dispatch_cycle() call counts, so the value also names the cycle
+  /// being dispatched (sim::Fifo stamps its push and pop batches with it).
   std::uint64_t active_cycles() const { return active_cycles_; }
 
   /// Schedule component c to tick at absolute cycle `at`.
@@ -161,7 +161,7 @@ class Scheduler {
   ///
   /// Duplicate wakes for the same (component, future cycle) are deduped
   /// at push time via a per-component last-wake stamp, so a hot FIFO
-  /// fan-in (N channels committing into one router in the same cycle)
+  /// fan-in (N channels pushing into one router in the same cycle)
   /// costs one push instead of N.  A second dedup layer at dispatch time
   /// (Component::last_ticked_) covers the remaining `at == now` path.
   /// The `now+1` case is inline (below); the rest is out of line.
@@ -195,25 +195,6 @@ class Scheduler {
   /// absorbed at least `coverage` of the observed wake horizons — what
   /// SchedulerConfig::horizon_hint should be tuned toward.
   std::uint32_t suggested_ring_bits(double coverage = 0.999) const;
-
-  /// Register a staged object for commit at the end of the current cycle.
-  /// Idempotent per cycle only if the caller guards; cheap either way.
-  /// Fifo guards with an epoch stamp (one registration per FIFO per
-  /// cycle, however many pushes/pops hit it) and reports the absorbed
-  /// duplicates through note_commit_dedup().
-  void defer_commit(Committable& c) {
-    commit_list_.push_back(&c);
-    ++commit_pushes_;
-  }
-
-  /// A caller-side guard (e.g. Fifo's epoch stamp) absorbed a duplicate
-  /// same-cycle commit registration.
-  void note_commit_dedup() { ++commits_deduped_; }
-
-  /// Commit-list pressure: registrations that reached the list vs
-  /// duplicates absorbed by caller-side epoch stamps.
-  std::uint64_t commit_pushes() const { return commit_pushes_; }
-  std::uint64_t commits_deduped() const { return commits_deduped_; }
 
   /// Entries currently queued across every tier (near bitmaps, calendar
   /// ring, overflow heap) — the "event queue occupancy" telemetry gauge.
@@ -266,9 +247,9 @@ class Scheduler {
   }
 
   /// Dispatch one cycle: tick every component woken for `t` (which must
-  /// be next_event_cycle()) in canonical component order, then run the
-  /// end-of-cycle commit phase.  Does not fire the cycle hook — the
-  /// caller (run() or the SimDomain) owns hook cadence.
+  /// be next_event_cycle()) in canonical component order.  Does not fire
+  /// the cycle hook — the caller (run() or the SimDomain) owns hook
+  /// cadence.
   void dispatch_cycle(Cycle t);
 
   /// Advance now() to `t` without dispatching (every pending event is
@@ -359,8 +340,6 @@ class Scheduler {
   std::uint64_t wakes_deduped_ = 0;
   std::uint64_t bucket_pushes_ = 0;
   std::uint64_t overflow_pushes_ = 0;
-  std::uint64_t commit_pushes_ = 0;
-  std::uint64_t commits_deduped_ = 0;
   std::array<std::uint64_t, 65> horizon_hist_{};
 
   // Telemetry hook: hook_next_ is kNeverCycle whenever hook_ is null, so
@@ -387,8 +366,6 @@ class Scheduler {
   // Overflow tier (the whole kernel under kBinaryHeap).
   std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
 
-  std::vector<Committable*> commit_list_;
-  std::vector<Committable*> commit_batch_;
   std::vector<Component*> dispatch_batch_;  ///< kBinaryHeap only
   std::ostream* trace_ = nullptr;
 };

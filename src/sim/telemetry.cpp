@@ -70,8 +70,6 @@ void Sampler::attach(sim::Scheduler& sched) {
   add_counter("sched.wakes_deduped", [s] { return s->wakes_deduped(); });
   add_counter("sched.bucket_pushes", [s] { return s->bucket_pushes(); });
   add_counter("sched.overflow_pushes", [s] { return s->overflow_pushes(); });
-  add_counter("sched.commit_pushes", [s] { return s->commit_pushes(); });
-  add_counter("sched.commits_deduped", [s] { return s->commits_deduped(); });
   add_counter("sched.active_cycles", [s] { return s->active_cycles(); });
   add_gauge("sched.queued",
             [s] { return static_cast<std::uint64_t>(s->queued()); });
@@ -93,14 +91,12 @@ void Sampler::attach(sim::SimDomain& dom) {
   sim::SimDomain* d = &dom;
   // The same kernel pressure series, summed across shards.  The
   // wake/dedup/active sums are bit-identical to the single-thread
-  // kernels; the bucket/overflow/commit series are kernel-dependent
+  // kernels; the bucket/overflow series are kernel-dependent
   // (they already differ between calendar and heap).
   add_counter("sched.wake_requests", [d] { return d->wake_requests(); });
   add_counter("sched.wakes_deduped", [d] { return d->wakes_deduped(); });
   add_counter("sched.bucket_pushes", [d] { return d->bucket_pushes(); });
   add_counter("sched.overflow_pushes", [d] { return d->overflow_pushes(); });
-  add_counter("sched.commit_pushes", [d] { return d->commit_pushes(); });
-  add_counter("sched.commits_deduped", [d] { return d->commits_deduped(); });
   add_counter("sched.active_cycles", [d] { return d->active_cycles(); });
   add_gauge("sched.queued",
             [d] { return static_cast<std::uint64_t>(d->queued()); });

@@ -118,8 +118,8 @@ class Sampler final : public sim::CycleHook {
 
   /// Hook this sampler into the scheduler's run loop and register the
   /// kernel's own pressure series: sched.wake_requests/wakes_deduped/
-  /// bucket_pushes/overflow_pushes/commit_pushes/commits_deduped
-  /// (cumulative) and sched.queued/ring_bits (gauges).
+  /// bucket_pushes/overflow_pushes/active_cycles (cumulative) and
+  /// sched.queued/ring_bits (gauges).
   /// sched.bucket_pushes counts the calendar's near-tier (`now`/`now+1`
   /// bitmap) pushes together with its ring-bucket pushes.
   void attach(sim::Scheduler& sched);

@@ -82,7 +82,7 @@ class BasicTraceReplayer {
 
     // One uniform shift keeps every push at cycle >= 1.  A trace cannot
     // legally contain events before cycle 2 (a push at cycle >= 1
-    // commits at >= 2), but shift defensively instead of failing on
+    // is visible at >= 2), but shift defensively instead of failing on
     // hand-crafted traces.
     sim::Cycle shift = 0;
     if (!trace.events.empty()) {
@@ -206,7 +206,7 @@ class BasicTraceReplayer {
         q_.pop();
         ++count_;
         // Delivery into the eject queue happened one cycle before the
-        // sink sees it (FIFO commit latency).
+        // sink sees it (FIFO next-cycle visibility).
         last_delivery_ = std::max(last_delivery_, now - 1);
       }
     }

@@ -427,19 +427,6 @@ std::map<std::string, double> timeline_summary(const telemetry::Timeline& tl) {
     }
     out["timeline_peak_queued"] = static_cast<double>(peak);
   }
-
-  const telemetry::Series* cp = tl.find("sched.commit_pushes");
-  const telemetry::Series* cd = tl.find("sched.commits_deduped");
-  if (cp != nullptr && cd != nullptr) {
-    double pushes = 0.0, dedups = 0.0;
-    for (std::size_t w = 0; w < tl.num_windows(); ++w) {
-      pushes += static_cast<double>(value_at(*cp, w));
-      dedups += static_cast<double>(value_at(*cd, w));
-    }
-    if (pushes + dedups > 0.0) {
-      out["timeline_commit_dedup_rate"] = dedups / (pushes + dedups);
-    }
-  }
   return out;
 }
 

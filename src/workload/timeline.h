@@ -69,8 +69,8 @@ std::string format_chrome_trace(const telemetry::Timeline& tl,
 
 /// Scalar roll-up for bench JSONs — every key starts with "timeline_"
 /// (bench_trend.py trends them by that prefix): window count, peak and
-/// mean delivered flits/cycle, peak windowed deflection rate, peak event
-/// queue depth, and the overall commit-dedup rate.
+/// mean delivered flits/cycle, peak windowed deflection rate and peak
+/// event queue depth.
 std::map<std::string, double> timeline_summary(const telemetry::Timeline& tl);
 
 }  // namespace medea::workload

@@ -95,7 +95,14 @@ void validate_request(const RunRequest& req, const Workload& w) {
     throw std::invalid_argument(
         "replay workload: replay.trace_path must name a recorded trace");
   }
+  // Bare-NoC runs build the machine's deflection fabric without a
+  // MedeaSystem (whose MedeaConfig::validate covers the app runs).  The
+  // queues are fixed rings, so a depth below 1 has no meaning.
+  if (k != WorkloadKind::kApp) req.machine.router.validate("machine.router");
   if (k == WorkloadKind::kSynthetic) {
+    if (req.synthetic.has_value()) {
+      req.synthetic->xy_router.validate("synthetic.xy_router");
+    }
     // Axis bounds first (throws naming the axis), so the node count
     // below describes a real torus.
     const noc::TorusGeometry geom(req.machine.noc_width,

@@ -6,9 +6,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/medea.h"
 #include "noc/flit.h"
@@ -452,6 +454,66 @@ TEST(InjectionProcessConfig, RejectsUnreachableBurstRates) {
   spec.burst_beta = 0.0;  // must be in (0, 1]
   EXPECT_THROW(noc::make_injection_process(spec, 0.1, rng),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Fabric and cache geometry validation
+// ---------------------------------------------------------------------
+
+/// Runs `fn` and checks it throws std::invalid_argument naming `field`.
+void expect_rejected_naming(const std::function<void()>& fn,
+                            const std::string& field) {
+  try {
+    fn();
+    ADD_FAILURE() << field << " must be rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(field), std::string::npos) << msg;
+  }
+}
+
+TEST(FabricQueueConfig, DepthsAndEjectBandwidthBelowOneAreRejected) {
+  // A depth of 0 or -1 used to run an unbounded (or, cast to size_t,
+  // huge) queue, and eject_per_cycle = 0 never delivers, so an app run
+  // hung until its cycle limit.  RunApi.FabricQueueDepthsBelowOneAreRejected
+  // covers the RunRequest path of the bare-NoC workloads.
+  using Field = int noc::RouterConfig::*;
+  const std::pair<Field, const char*> fields[] = {
+      {&noc::RouterConfig::eject_per_cycle, "eject_per_cycle"},
+      {&noc::RouterConfig::inject_queue_depth, "inject_queue_depth"},
+      {&noc::RouterConfig::eject_queue_depth, "eject_queue_depth"}};
+  for (const int bad : {0, -1}) {
+    for (const auto& [field, name] : fields) {
+      core::MedeaConfig cfg;
+      cfg.router.*field = bad;
+      expect_rejected_naming([&] { cfg.validate(); },
+                             std::string("router.") + name);
+    }
+  }
+}
+
+TEST(CacheGeometryConfig, BadGeometryIsRejectedNamingTheField) {
+  // These were asserts, so Release builds skipped them: ways = 0 died
+  // with SIGFPE and a 32-byte line ran silently on a 16-byte-line model.
+  core::MedeaConfig cfg;
+  cfg.l1.ways = 0;
+  expect_rejected_naming([&] { cfg.validate(); }, "l1.ways");
+  cfg = core::MedeaConfig{};
+  cfg.mpmmu.cache.ways = 0;
+  expect_rejected_naming([&] { cfg.validate(); }, "mpmmu.cache.ways");
+  cfg = core::MedeaConfig{};
+  cfg.l1.line_bytes = 32;
+  expect_rejected_naming([&] { cfg.validate(); }, "l1.line_bytes");
+  cfg = core::MedeaConfig{};
+  cfg.l1.ways = 3;  // 128 lines do not split into 3 equal ways
+  expect_rejected_naming([&] { cfg.validate(); }, "l1.ways");
+  cfg = core::MedeaConfig{};
+  cfg.mpmmu.cache.size_bytes = 48 * 1024;  // 1536 sets: not a power of two
+  expect_rejected_naming([&] { cfg.validate(); }, "mpmmu.cache.size_bytes");
+  // The Cache constructor applies the same check to direct users.
+  mem::CacheConfig direct{4 * 1024, mem::kLineBytes, 0,
+                          mem::WritePolicy::kWriteBack};
+  expect_rejected_naming([&] { mem::Cache c(direct); }, "ways");
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ using noc::Flit;
 
 struct ArbFixture {
   explicit ArbFixture(ArbiterConfig cfg)
-      : inject(sched, "inj", 0), arb(cfg, stats) {}
+      : inject(sched, 64), arb(cfg, stats) {}
 
   Flit tag(std::uint32_t v) {
     Flit f;
@@ -65,7 +65,7 @@ TEST(Arbiter, MuxRoundRobinIsFairUnderSustainedContention) {
 TEST(Arbiter, SingleFifoBuffersWhenSwitchCongested) {
   ArbFixture fx(ArbiterConfig{ArbiterKind::kSingleFifo, 8, true});
   // Congest the switch: fill the inject queue via a capacity-2 stand-in.
-  sim::Fifo<Flit> tiny(fx.sched, "tiny", 1);
+  sim::Fifo<Flit> tiny(fx.sched, 1);
   tiny.push(fx.tag(0));  // stays staged; occupancy blocks further pushes
   fx.tie.push_back(fx.tag(1));
   fx.bridge.push_back(fx.tag(2));
@@ -80,7 +80,7 @@ TEST(Arbiter, SingleFifoBuffersWhenSwitchCongested) {
 
 TEST(Arbiter, SingleFifoRespectsDepth) {
   ArbFixture fx(ArbiterConfig{ArbiterKind::kSingleFifo, 2, true});
-  sim::Fifo<Flit> tiny(fx.sched, "tiny", 1);
+  sim::Fifo<Flit> tiny(fx.sched, 1);
   tiny.push(fx.tag(0));
   for (int i = 0; i < 5; ++i) {
     fx.tie.push_back(fx.tag(static_cast<std::uint32_t>(i)));
@@ -93,7 +93,7 @@ TEST(Arbiter, SingleFifoRespectsDepth) {
 TEST(Arbiter, DualFifoDrainsHighPriorityFirst) {
   ArbFixture fx(ArbiterConfig{ArbiterKind::kDualFifo, 8, true});
   // Load both queues while the switch is blocked.
-  sim::Fifo<Flit> tiny(fx.sched, "tiny", 1);
+  sim::Fifo<Flit> tiny(fx.sched, 1);
   tiny.push(fx.tag(0));
   for (int i = 0; i < 3; ++i) {
     fx.tie.push_back(fx.tag(100 + static_cast<std::uint32_t>(i)));
@@ -104,7 +104,7 @@ TEST(Arbiter, DualFifoDrainsHighPriorityFirst) {
   // Now drain through an open switch: HP (TIE) must all leave before BE.
   std::vector<std::uint32_t> order;
   for (int i = 0; i < 6; ++i) {
-    sim::Fifo<Flit> open_port(fx.sched, "open", 0);
+    sim::Fifo<Flit> open_port(fx.sched, 1);
     fx.arb.step(open_port, fx.tie, fx.bridge);
     ASSERT_EQ(open_port.producer_occupancy(), 1u);
     // Peek at what was pushed by committing manually is awkward; instead
@@ -116,7 +116,7 @@ TEST(Arbiter, DualFifoDrainsHighPriorityFirst) {
 
 TEST(Arbiter, DualFifoAcceptsBothInterfacesSameCycle) {
   ArbFixture fx(ArbiterConfig{ArbiterKind::kDualFifo, 8, true});
-  sim::Fifo<Flit> tiny(fx.sched, "tiny", 1);
+  sim::Fifo<Flit> tiny(fx.sched, 1);
   tiny.push(fx.tag(0));
   fx.tie.push_back(fx.tag(1));
   fx.bridge.push_back(fx.tag(2));

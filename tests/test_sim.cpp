@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -118,7 +119,7 @@ TEST(Scheduler, FifoFanInWakesConsumerWithOneHeapPush) {
   // wake requests are absorbed before touching the heap.
   Scheduler sched;
   Recorder consumer(sched, "consumer");
-  Fifo<int> a(sched, "a", 4), b(sched, "b", 4), c(sched, "c", 4);
+  Fifo<int> a(sched, 4), b(sched, 4), c(sched, 4);
   for (Fifo<int>* f : {&a, &b, &c}) f->set_consumer(&consumer);
   FanInPusher pusher(sched, a, b, c);
   sched.wake_at(pusher, 1);
@@ -499,7 +500,7 @@ class Consumer : public Component {
 
 TEST(Fifo, PushVisibleNextCycle) {
   Scheduler sched;
-  Fifo<int> f(sched, "f", 4);
+  Fifo<int> f(sched, 4);
   Producer p(sched, f, 1);
   Consumer c(sched, f);
   sched.wake_at(p, 0);
@@ -511,7 +512,7 @@ TEST(Fifo, PushVisibleNextCycle) {
 
 TEST(Fifo, DeliversInOrderAtFullThroughput) {
   Scheduler sched;
-  Fifo<int> f(sched, "f", 2);
+  Fifo<int> f(sched, 2);
   Producer p(sched, f, 50);
   Consumer c(sched, f);
   sched.wake_at(p, 0);
@@ -548,7 +549,7 @@ class SlowConsumer : public Component {
 
 TEST(Fifo, BackpressureBlocksAndResumesProducer) {
   Scheduler sched;
-  Fifo<int> f(sched, "f", 2);
+  Fifo<int> f(sched, 2);
   Producer p(sched, f, 20);
   SlowConsumer c(sched, f, 5);
   sched.wake_at(p, 0);
@@ -557,18 +558,9 @@ TEST(Fifo, BackpressureBlocksAndResumesProducer) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(c.got[static_cast<std::size_t>(i)], i);
 }
 
-TEST(Fifo, CapacityZeroIsUnbounded) {
-  Scheduler sched;
-  Fifo<int> f(sched, "f", 0);
-  Producer p(sched, f, 1000);
-  sched.wake_at(p, 0);
-  EXPECT_TRUE(sched.run());
-  EXPECT_EQ(f.size(), 1000u);
-}
-
 TEST(Fifo, PopFreesSpaceOnlyNextCycle) {
   Scheduler sched;
-  Fifo<int> f(sched, "f", 1);
+  Fifo<int> f(sched, 1);
   // Hand-drive: producer pushes at 0; consumer pops at 1; producer sees
   // space again only at 2.
   struct Driver : Component {
@@ -590,6 +582,133 @@ TEST(Fifo, PopFreesSpaceOnlyNextCycle) {
   } d(sched, f);
   sched.wake_at(d, 0);
   EXPECT_TRUE(sched.run());
+}
+
+TEST(Fifo, ZeroCapacityIsRejected) {
+  Scheduler sched;
+  EXPECT_THROW(Fifo<int>(sched, 0), std::invalid_argument);
+}
+
+TEST(Fifo, CapacityThreeRingWrapsInOrder) {
+  // A slow consumer keeps the ring full, so head and tail wrap every
+  // third value; the capacity is deliberately not a power of two.
+  Scheduler sched;
+  Fifo<int> f(sched, 3);
+  Producer p(sched, f, 100);
+  SlowConsumer c(sched, f, 2);
+  sched.wake_at(p, 0);
+  EXPECT_TRUE(sched.run());
+  ASSERT_EQ(c.got.size(), 100u);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(c.got[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_TRUE(f.empty());
+}
+
+TEST(Fifo, PopBeforeProducerTickWakesProducerNextCycle) {
+  // The consumer is built first, so it ticks before the producer within
+  // a cycle.  At cycle 1 it pops the only slot's entry; the producer's
+  // can_push() then fails (the slot frees at 2) and the FIFO itself
+  // wakes the producer for 2 — the producer never wakes itself.
+  Scheduler sched;
+  Fifo<int> f(sched, 1);
+  Consumer c(sched, f);
+  struct OneShotProducer : Component {
+    OneShotProducer(Scheduler& s, Fifo<int>& q)
+        : Component(s, "prod"), fifo(q) {
+      q.set_producer(this);
+    }
+    void tick(Cycle now) override {
+      ticks.push_back(now);
+      const bool ok = fifo.can_push();
+      accepted.push_back(ok);
+      if (ok) fifo.push(static_cast<int>(now));
+    }
+    Fifo<int>& fifo;
+    std::vector<Cycle> ticks;
+    std::vector<bool> accepted;
+  } p(sched, f);
+  sched.wake_at(p, 0);
+  sched.wake_at(p, 1);
+  EXPECT_TRUE(sched.run());
+  EXPECT_EQ(p.ticks, (std::vector<Cycle>{0, 1, 2}));
+  EXPECT_EQ(p.accepted, (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(c.got, (std::vector<std::pair<Cycle, int>>{{1, 0}, {3, 2}}));
+}
+
+TEST(Fifo, ReadsAfterRunSeeTheLastCyclesPushes) {
+  // Outside dispatch every entry is settled: a push made in the last
+  // dispatched cycle is readable once run() returns, and stays visible
+  // when a between-runs wake dispatches that cycle again.
+  struct SizeProbe : Component {
+    SizeProbe(Scheduler& s, Fifo<int>& q) : Component(s, "probe"), fifo(q) {}
+    void tick(Cycle) override { seen = fifo.size(); }
+    Fifo<int>& fifo;
+    std::size_t seen = 0;
+  };
+  Scheduler sched;
+  Fifo<int> f(sched, 4);
+  Producer p(sched, f, 2);
+  SizeProbe probe(sched, f);
+  sched.wake_at(p, 5);
+  EXPECT_TRUE(sched.run());
+  EXPECT_EQ(sched.now(), 6u);
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f.front(), 0);
+  EXPECT_EQ(f.peek(1), 1);
+  EXPECT_EQ(f.producer_occupancy(), 2u);
+  sched.wake_at(probe, sched.now());
+  EXPECT_TRUE(sched.run());
+  EXPECT_EQ(probe.seen, 2u);
+}
+
+TEST(Fifo, PushesInOneTickIssueOneConsumerWake) {
+  // Only the first push of a cycle wakes the consumer: three pushes in
+  // one tick cost one wake request, none of them deduped.
+  struct Burst : Component {
+    Burst(Scheduler& s, Fifo<int>& q) : Component(s, "burst"), fifo(q) {}
+    void tick(Cycle) override {
+      for (int v = 0; v < 3; ++v) fifo.push(v);
+    }
+    Fifo<int>& fifo;
+  };
+  Scheduler sched;
+  Fifo<int> f(sched, 4);
+  Burst b(sched, f);
+  Consumer c(sched, f);
+  sched.wake_at(b, 1);
+  EXPECT_TRUE(sched.run());
+  EXPECT_EQ(sched.wake_requests(), 2u);  // the test's wake + one push wake
+  EXPECT_EQ(sched.wakes_deduped(), 0u);
+  EXPECT_EQ(c.got,
+            (std::vector<std::pair<Cycle, int>>{{2, 0}, {2, 1}, {2, 2}}));
+}
+
+TEST(FifoDeathTest, BoundsAreCheckedInEveryBuildMode) {
+  Scheduler sched;
+  Fifo<int> f(sched, 1);
+  EXPECT_DEATH(f.pop(), "pop on an empty FIFO");
+  EXPECT_DEATH(static_cast<void>(f.front()), "past the visible entries");
+  f.push(1);
+  EXPECT_DEATH(f.push(2), "push on a full FIFO");
+  EXPECT_DEATH(static_cast<void>(f.peek(1)), "past the visible entries");
+}
+
+TEST(FifoDeathTest, PendingPushIsNotPoppable) {
+  // This cycle's push is past the visible entries for the whole cycle.
+  struct PushPop : Component {
+    PushPop(Scheduler& s, Fifo<int>& q) : Component(s, "pushpop"), fifo(q) {}
+    void tick(Cycle) override {
+      fifo.push(1);
+      fifo.pop();
+    }
+    Fifo<int>& fifo;
+  };
+  Scheduler sched;
+  Fifo<int> f(sched, 2);
+  PushPop pp(sched, f);
+  sched.wake_at(pp, 1);
+  EXPECT_DEATH(sched.run(), "pop on an empty FIFO");
 }
 
 // ---------------------------------------------------------------------

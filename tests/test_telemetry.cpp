@@ -2,9 +2,8 @@
 /// encoding round-trip, lazily-appearing series, gauge probes,
 /// determinism across reruns), the zero-overhead-when-disabled
 /// guarantee, the exporters (timeline JSON, CSV, Chrome trace JSON —
-/// structurally validated), the timeline_summary roll-up, host-side
-/// ProfileScope spans, and the Fifo commit-dedup counters the sampler
-/// exports.
+/// structurally validated), the timeline_summary roll-up and host-side
+/// ProfileScope spans.
 
 #include <gtest/gtest.h>
 
@@ -165,7 +164,7 @@ TEST(TelemetryRun, SampledRunsAreDeterministicAcrossReruns) {
 TEST(TelemetryRun, DisabledSamplingPerturbsNothing) {
   // Sampling must not change simulation behavior, and a disabled
   // sampler must not touch the kernel at all: cycle count and the
-  // scheduler's wake/commit pressure counters are identical with
+  // scheduler's wake pressure counters are identical with
   // sampling off and on (the hook is cycle-driven, not wake-driven).
   const workload::RunResult off =
       workload::run_by_name("uniform", small_uniform(0));
@@ -198,23 +197,6 @@ TEST(TelemetryRun, TimelineDeltasSumToFinalCounters) {
   ASSERT_NE(wakes, nullptr);
   EXPECT_EQ(r.timeline.reconstruct(*wakes).back(),
             r.stats.get("sched.wake_requests"));
-}
-
-TEST(TelemetryRun, CommitDedupAbsorbsSameCycleRearms) {
-  // Satellite: the Fifo epoch-stamp dedup. Multi-flit pushes into the
-  // same queue in one cycle used to enter the commit list repeatedly;
-  // now duplicates are counted instead of queued.  The commit counters
-  // measure the host's commit-list bookkeeping rather than modelled
-  // hardware, so they live on the timeline, not in the run stats.
-  workload::RunRequest req = small_uniform(64);
-  req.synthetic->injection_rate = 0.6;  // busy queues => same-cycle re-arms
-  const workload::RunResult r = workload::run_by_name("uniform", req);
-  const Series* pushes = r.timeline.find("sched.commit_pushes");
-  const Series* dedup = r.timeline.find("sched.commits_deduped");
-  ASSERT_NE(pushes, nullptr);
-  ASSERT_NE(dedup, nullptr);
-  EXPECT_GT(r.timeline.reconstruct(*pushes).back(), 0u);
-  EXPECT_GT(r.timeline.reconstruct(*dedup).back(), 0u);
 }
 
 TEST(TelemetryRun, PerRouterDeliveredCountersExist) {

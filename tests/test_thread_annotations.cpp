@@ -108,17 +108,25 @@ TEST(ThreadAnnotations, AnnotatedKernelTypesStaySmall) {
 }
 
 // End-to-end sanity: the annotated SimDomain + Fifo still run a trivial
-// wiring exactly as before (the asserts in set_consumer/push/pop/commit
-// are on the hot path of every model; this catches an accidentally
-// non-empty expansion faster than inspection).
+// wiring exactly as before (the asserts in set_consumer/push/pop are on
+// the hot path of every model; this catches an accidentally non-empty
+// expansion faster than inspection).
 TEST(ThreadAnnotations, AnnotatedFifoStillWorks) {
   medea::sim::SchedulerConfig cfg;
   medea::sim::Scheduler sched(cfg);
-  medea::sim::Fifo<int> f(sched, "t", 4);
-  EXPECT_TRUE(f.can_push());
-  f.push(7);
-  EXPECT_TRUE(f.empty());  // staged, not yet committed
-  f.commit();
+  medea::sim::Fifo<int> f(sched, 4);
+  struct Pusher : medea::sim::Component {
+    Pusher(medea::sim::Scheduler& s, medea::sim::Fifo<int>& q)
+        : Component(s, "pusher"), fifo(q) {}
+    void tick(medea::sim::Cycle) override {
+      EXPECT_TRUE(fifo.can_push());
+      fifo.push(7);
+      EXPECT_TRUE(fifo.empty());  // pending, not visible in the push cycle
+    }
+    medea::sim::Fifo<int>& fifo;
+  } pusher(sched, f);
+  sched.wake_at(pusher, 1);
+  EXPECT_TRUE(sched.run());
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f.front(), 7);
   EXPECT_EQ(f.pop(), 7);

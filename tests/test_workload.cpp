@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dse/sweep.h"
@@ -269,6 +270,46 @@ TEST(RunApi, ValidationErrorsNameTheProblem) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("uniform"), std::string::npos) << msg;
     EXPECT_NE(msg.find("app"), std::string::npos) << msg;
+  }
+}
+
+TEST(RunApi, FabricQueueDepthsBelowOneAreRejected) {
+  // Bare-NoC runs build the fabric without a MedeaSystem, so the
+  // request itself must reject a depth or eject bandwidth below 1 (a
+  // zero eject bandwidth used to hang until the default cycle limit).
+  const Workload& uniform = WorkloadRegistry::instance().at("uniform");
+  const auto expect_rejected = [&](const RunRequest& req,
+                                   const std::string& field) {
+    try {
+      validate_request(req, uniform);
+      ADD_FAILURE() << field << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(field), std::string::npos) << msg;
+    }
+  };
+  using RouterField = int noc::RouterConfig::*;
+  const std::pair<RouterField, const char*> router_fields[] = {
+      {&noc::RouterConfig::eject_per_cycle, "eject_per_cycle"},
+      {&noc::RouterConfig::inject_queue_depth, "inject_queue_depth"},
+      {&noc::RouterConfig::eject_queue_depth, "eject_queue_depth"}};
+  using XyField = int noc::XyRouterConfig::*;
+  const std::pair<XyField, const char*> xy_fields[] = {
+      {&noc::XyRouterConfig::input_buffer_depth, "input_buffer_depth"},
+      {&noc::XyRouterConfig::eject_per_cycle, "eject_per_cycle"},
+      {&noc::XyRouterConfig::inject_queue_depth, "inject_queue_depth"},
+      {&noc::XyRouterConfig::eject_queue_depth, "eject_queue_depth"}};
+  for (const int bad : {0, -1}) {
+    for (const auto& [field, name] : router_fields) {
+      RunRequest req = tiny_synth();
+      req.machine.router.*field = bad;
+      expect_rejected(req, std::string("machine.router.") + name);
+    }
+    for (const auto& [field, name] : xy_fields) {
+      RunRequest req = tiny_synth();
+      req.synthetic->xy_router.*field = bad;
+      expect_rejected(req, std::string("synthetic.xy_router.") + name);
+    }
   }
 }
 
